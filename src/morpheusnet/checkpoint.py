@@ -14,6 +14,7 @@ dtype codes: 0 float32, 1 float64, 2 int8, 3 int32, 4 uint8.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -85,26 +86,35 @@ def read_container(path) -> dict[str, np.ndarray]:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (blob_offset,) = struct.unpack_from("<Q", data, 10)
+    body = data[:-4]  # table fields never read into the checksum
     pos = 18
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        code, ndim = struct.unpack_from("<BB", data, pos)
-        pos += 2
-        dims = struct.unpack_from(f"<{ndim}I", data, pos)
-        pos += 4 * ndim
-        offset, nbytes = struct.unpack_from("<QQ", data, pos)
-        pos += 16
+        field = pos
+        try:
+            (nlen,) = struct.unpack_from("<H", body, pos)
+            pos += 2
+            name = body[pos:pos + nlen].decode("utf-8")
+            pos += nlen
+            code, ndim = struct.unpack_from("<BB", body, pos)
+            pos += 2
+            dims = struct.unpack_from(f"<{ndim}I", body, pos)
+            pos += 4 * ndim
+            offset, nbytes = struct.unpack_from("<QQ", body, pos)
+            pos += 16
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"byte {pos}: malformed tensor table ({exc})") from exc
         if code not in _DTYPES:
-            raise CheckpointError(f"tensor {name!r}: unknown dtype code {code}")
+            raise CheckpointError(f"byte {field}: tensor {name!r}: unknown dtype code {code}")
+        dtype = np.dtype(_DTYPES[code])
+        count_items = math.prod(dims)
+        if nbytes != count_items * dtype.itemsize:
+            raise CheckpointError(f"byte {field}: tensor {name!r}: {nbytes} bytes "
+                                  f"for shape {dims} of {dtype}")
         start = blob_offset + offset
-        if start + nbytes > len(data) - 4:
-            raise CheckpointError(f"tensor {name!r}: blob out of bounds")
-        arr = np.frombuffer(data, dtype=_DTYPES[code], count=int(np.prod(dims, dtype=np.int64))
-                            if dims else 1, offset=start)
+        if start + nbytes > len(body):
+            raise CheckpointError(f"byte {field}: tensor {name!r}: blob out of bounds")
+        arr = np.frombuffer(data, dtype=dtype, count=count_items, offset=start)
         out[name] = arr.reshape(dims).copy()
     return out
 

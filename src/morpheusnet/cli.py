@@ -453,7 +453,10 @@ def cmd_infer(args) -> int:
                     f"(expected {chunk_bytes})"
                 )
             epoch = np.frombuffer(chunk, dtype="<f4").reshape(1, length)
-            stage, probs = engine.infer_epoch(epoch)
+            try:
+                stage, probs = engine.infer_epoch(epoch)
+            except ValueError as exc:
+                raise InputError(f"epoch {index}: {exc}") from exc
             probs_txt = " ".join(f"{p:.6f}" for p in probs)
             print(f"{index}\t{STAGES[stage]}\t{probs_txt}", flush=True)
             index += 1

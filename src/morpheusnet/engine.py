@@ -6,8 +6,22 @@ nothing more from it (tests instrument exactly this). Quantized entries run
 in integer arithmetic: int8 operands, exact wide accumulation, fixed-point
 requantization with round-half-away-from-zero, ReLU as a clamp at the output
 zero point. Float entries (excluded blocks, the classifier logits, and the
-sequence learner) run in float32. Integer accumulation uses float64 matrix
-products, which are exact for these magnitudes, then moves to int64.
+sequence learner) run in float32.
+
+Integer accumulation runs on floating-point matrix products, one per entry:
+a convolution multiplies its weights ``[out_ch, in_ch * kernel]`` by a column
+buffer of input windows, a depthwise entry contracts each channel's windows
+with its taps, and pointwise and dense entries are a single product. The
+operands are integers: weights ``w`` in int8 and shifted inputs
+``x - zero_point`` with ``|x - zero_point| <= 255``. Every product and every
+partial sum of one output is therefore an integer of magnitude at most
+``sum_i |w_i| * 255`` over that output's row of weights. Each entry takes
+float32 accumulators when that bound is below ``2**24`` for every row, so
+each partial sum is exactly representable in any summation order (with or
+without fused multiply-add), and float64 otherwise, which is exact below
+``2**53``: a row of at most ``2**32`` weights (``in_ch * kernel`` of two u16
+fields) stays below ``2**47``. The exact sums then move to int64 for the
+bias and requantization.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arena import Arena, ArenaPlan, Step, plan_memory
 from .flatmodel import (
@@ -37,10 +52,28 @@ from .flatmodel import (
 from .quantize import QMAX, QMIN, QuantParams, apply_requant, round_half_away
 
 
+# largest |x - zero_point| of two int8 values
+_SHIFTED_INPUT_MAX = QMAX - QMIN
+
+
+def accumulator_dtype(weights: np.ndarray):
+    """float32 if every partial sum of an output row is an integer below 2**24,
+    which float32 holds exactly in any summation order; float64 otherwise."""
+    rows = np.abs(weights.astype(np.int64)).reshape(len(weights), -1).sum(axis=1)
+    return np.float32 if int(rows.max()) * _SHIFTED_INPUT_MAX < 2**24 else np.float64
+
+
 def _round_div_int(values: np.ndarray, divisor: int) -> np.ndarray:
     """Integer divide with round-half-away-from-zero."""
     mag = (np.abs(values) + divisor // 2) // divisor
     return np.where(values < 0, -mag, mag)
+
+
+def _requant_mean(sums: np.ndarray, window: int, zp: int, out: np.ndarray) -> None:
+    """int8 mean of ``window`` values sharing zero point ``zp``, from their sums."""
+    sums -= window * zp
+    res = _round_div_int(sums, window) + zp
+    out[...] = np.clip(res, QMIN, QMAX).reshape(out.shape).astype(np.int8)
 
 
 @dataclass
@@ -131,26 +164,12 @@ class InferenceEngine:
         self._ctx: list[dict] = []
         for i, entry in enumerate(spec.entries):
             ctx: dict = {}
-            acc_dtype = np.float64 if entry.quantized else np.float32
             if entry.kind in (K_CONV, K_DEPTHWISE, K_POINTWISE, K_DENSE):
                 if entry.quantized:
-                    ctx["w64"] = entry.weights.astype(np.float64)
-                    ctx["bias_i"] = None if entry.bias is None else entry.bias.astype(np.int64)
+                    self._build_weighted_int(entry, ctx)
                 else:
-                    ctx["w32"] = entry.weights.astype(np.float32)
-                    ctx["bias_f"] = None if entry.bias is None else entry.bias.astype(np.float32)
-            if entry.kind in (K_CONV, K_DEPTHWISE):
-                k = entry.kernel
-                left = (k - 1) // 2
-                ctx["pad"] = (left, k - 1 - left)
-                ctx["xpad"] = self._acquire((entry.in_ch, entry.in_len + k - 1), acc_dtype)
-                ctx["acc"] = self._acquire((entry.out_ch, entry.out_len), acc_dtype)
-                if entry.kind == K_CONV:
-                    ctx["tmp"] = self._acquire((entry.out_ch, entry.out_len), acc_dtype)
-            elif entry.kind in (K_POINTWISE, K_DENSE):
-                ctx["xin"] = self._acquire((entry.in_ch, entry.in_len), acc_dtype)
-                ctx["acc"] = self._acquire((entry.out_ch, entry.out_len), acc_dtype)
-            elif entry.kind == K_ADD:
+                    self._build_weighted_float(entry, ctx)
+            elif entry.kind == K_ADD or (entry.kind == K_AVGPOOL and entry.quantized):
                 ctx["acc"] = self._acquire((entry.out_ch, entry.out_len), np.int64)
 
             # static domain conversions at this entry's inputs
@@ -184,6 +203,40 @@ class InferenceEngine:
         self._ring_fill = 0
         self._probs = self._acquire(seq.classes, np.float32)
         self._probs_seq = self._acquire(seq.classes, np.float32)
+
+    def _build_weighted_int(self, entry: Entry, ctx: dict) -> None:
+        """Shifted-input, column and accumulator buffers in the entry's exact
+        accumulator dtype; the input's padding columns are zeroed once here."""
+        dtype = accumulator_dtype(entry.weights)
+        ctx["w"] = entry.weights.astype(dtype).reshape(entry.out_ch, -1)
+        ctx["bias_i"] = None if entry.bias is None else entry.bias.astype(np.int64)
+        if entry.kind in (K_CONV, K_DEPTHWISE):
+            k = entry.kernel
+            left = (k - 1) // 2
+            xpad = self._acquire((entry.in_ch, entry.in_len + k - 1), dtype)
+            xpad.fill(0)
+            ctx["x"] = xpad[:, left:left + entry.in_len]
+            ctx["windows"] = sliding_window_view(xpad, k, axis=1)  # [in_ch, out_len, k]
+            if entry.kind == K_CONV:
+                ctx["cols"] = self._acquire((entry.in_ch * k, entry.out_len), dtype)
+        else:
+            ctx["x"] = self._acquire((entry.in_ch, entry.in_len), dtype)
+        ctx["acc"] = self._acquire((entry.out_ch, entry.out_len), dtype)
+
+    def _build_weighted_float(self, entry: Entry, ctx: dict) -> None:
+        ctx["w32"] = entry.weights.astype(np.float32)
+        ctx["bias_f"] = None if entry.bias is None else entry.bias.astype(np.float32)
+        if entry.kind in (K_CONV, K_DEPTHWISE):
+            k = entry.kernel
+            left = (k - 1) // 2
+            ctx["pad"] = (left, k - 1 - left)
+            ctx["xpad"] = self._acquire((entry.in_ch, entry.in_len + k - 1), np.float32)
+            ctx["acc"] = self._acquire((entry.out_ch, entry.out_len), np.float32)
+            if entry.kind == K_CONV:
+                ctx["tmp"] = self._acquire((entry.out_ch, entry.out_len), np.float32)
+        else:
+            ctx["xin"] = self._acquire((entry.in_ch, entry.in_len), np.float32)
+            ctx["acc"] = self._acquire((entry.out_ch, entry.out_len), np.float32)
 
     def _src_shape(self, src: int):
         if src == MODEL_INPUT:
@@ -263,13 +316,21 @@ class InferenceEngine:
             window = entry.kernel if entry.kind != K_GAP else entry.in_len
             n = entry.in_len // window
             xr = main[:, :n * window].reshape(entry.in_ch, n, window)
+            # max and int8 average pools take one pass per window position:
+            # reducing over the short inner axis runs a slow strided loop per
+            # output element instead
             if entry.kind == K_MAXPOOL:
-                np.max(xr, axis=2, out=out)
+                out[...] = xr[:, :, 0]
+                for j in range(1, window):
+                    np.maximum(out, xr[:, :, j], out=out)
+            elif entry.quantized and entry.kind == K_AVGPOOL:
+                acc = ctx["acc"]
+                acc[...] = xr[:, :, 0]
+                for j in range(1, window):
+                    acc += xr[:, :, j]
+                _requant_mean(acc, window, entry.out_zp, out)
             elif entry.quantized:
-                s = xr.astype(np.int64).sum(axis=2)
-                s -= window * entry.out_zp
-                res = _round_div_int(s, window) + entry.out_zp
-                out[...] = np.clip(res, QMIN, QMAX).reshape(out.shape).astype(np.int8)
+                _requant_mean(xr.astype(np.int64).sum(axis=2), window, entry.out_zp, out)
             else:
                 out[...] = xr.mean(axis=2, dtype=np.float64).reshape(out.shape)
             return
@@ -294,31 +355,19 @@ class InferenceEngine:
             self._weighted_float(entry, ctx, main, out)
 
     def _weighted_int(self, entry: Entry, ctx, x_int8, in_qp, out) -> None:
-        zp_in = in_qp.zero_point
-        if entry.kind in (K_CONV, K_DEPTHWISE):
-            left, _ = ctx["pad"]
-            xpad, acc = ctx["xpad"], ctx["acc"]
-            xpad[:, :left] = 0.0
-            xpad[:, left + entry.in_len:] = 0.0
-            body = xpad[:, left:left + entry.in_len]
-            body[...] = x_int8  # widen to float64 before the zero-point shift
-            body -= zp_in
-            acc.fill(0.0)
-            w64 = ctx["w64"]
-            if entry.kind == K_CONV:
-                tmp = ctx["tmp"]
-                for kk in range(entry.kernel):
-                    np.matmul(w64[:, :, kk], xpad[:, kk:kk + entry.out_len], out=tmp)
-                    acc += tmp
-            else:
-                for kk in range(entry.kernel):
-                    acc += w64[:, kk, None] * xpad[:, kk:kk + entry.out_len]
+        x, acc, w = ctx["x"], ctx["acc"], ctx["w"]
+        # widen before the zero-point shift; exact in either accumulator dtype
+        np.subtract(x_int8.reshape(x.shape), acc.dtype.type(in_qp.zero_point), out=x)
+        if entry.kind == K_CONV:
+            cols = ctx["cols"]  # row c * kernel + kk: padded channel c from tap kk on
+            np.copyto(cols.reshape(entry.in_ch, entry.kernel, entry.out_len),
+                      ctx["windows"].transpose(0, 2, 1))
+            np.matmul(w, cols, out=acc)
+        elif entry.kind == K_DEPTHWISE:
+            np.einsum("clk,ck->cl", ctx["windows"], w, out=acc)
         else:  # pointwise or dense
-            xin, acc = ctx["xin"], ctx["acc"]
-            xin[...] = x_int8.reshape(xin.shape)
-            xin -= zp_in
-            np.matmul(ctx["w64"], xin, out=acc.reshape(entry.out_ch, entry.out_len))
-        acc_i = acc.astype(np.int64)  # exact: accumulators stay far below 2**53
+            np.matmul(w, x, out=acc)
+        acc_i = acc.astype(np.int64)  # exact: see accumulator_dtype
         if ctx["bias_i"] is not None:
             acc_i += ctx["bias_i"].reshape(-1, 1)
 
@@ -326,11 +375,11 @@ class InferenceEngine:
             scale = np.float32(in_qp.scale * entry.w_scale)
             out[...] = acc_i.reshape(out.shape).astype(np.float32) * scale
             return
-        res = apply_requant(acc_i, entry.rm) + entry.out_zp
-        if entry.relu:
-            np.maximum(res, entry.out_zp, out=res)
-        np.clip(res, QMIN, QMAX, out=res)
-        out[...] = res.astype(np.int8).reshape(out.shape)
+        res = apply_requant(acc_i, entry.rm)
+        res += entry.out_zp
+        # ReLU clamps at the output zero point, which lies in [QMIN, QMAX]
+        np.clip(res, entry.out_zp if entry.relu else QMIN, QMAX, out=res)
+        out[...] = res.reshape(out.shape)
 
     def _weighted_float(self, entry: Entry, ctx, x_f32, out) -> None:
         if entry.kind in (K_CONV, K_DEPTHWISE):
@@ -368,12 +417,16 @@ class InferenceEngine:
     def infer_epoch(self, epoch: np.ndarray):
         """Causal per-epoch prediction through the int8 CNN and float sequence
         learner; identical windowing to the float path (front-padding with the
-        earliest output until the window fills)."""
+        earliest output until the window fills). A malformed epoch (wrong
+        shape, or a NaN or infinite sample) raises ``ValueError`` before the
+        window is touched, so the stream position is preserved."""
         epoch = np.asarray(epoch, dtype=np.float32)
         if epoch.shape != (1, self.spec.config_input_len):
             raise ValueError(
                 f"expected a [1, {self.spec.config_input_len}] epoch, got {epoch.shape}"
             )
+        if not np.isfinite(epoch).all():
+            raise ValueError("epoch has a non-finite sample")
         probs = self.infer_cnn_int8(self.quantize_input(epoch))
         window = self._ring.shape[0]
         self._ring[self._ring_pos] = probs

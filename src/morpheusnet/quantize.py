@@ -138,9 +138,12 @@ def apply_requant(acc: np.ndarray, rm: RequantMultiplier) -> np.ndarray:
     trs = 31 - rm.shift
     if trs <= 0:
         return prod << (-trs)
-    half = np.int64(1) << (trs - 1)
-    mag = (np.abs(prod) + half) >> trs
-    return np.where(prod < 0, -mag, mag)
+    # >> floors, so (p + half) >> trs rounds half up; for p < 0, adding
+    # p >> 63 (-1 there, 0 elsewhere) first rounds half away from zero
+    prod += prod >> 63
+    prod += np.int64(1) << (trs - 1)
+    prod >>= trs
+    return prod
 
 
 @dataclass

@@ -27,14 +27,17 @@ class StreamPredictor:
     def push(self, epoch: np.ndarray):
         """Classify the next epoch; returns ``(stage_index, probabilities)``.
 
-        A malformed epoch raises before the buffer is touched, so the stream
-        position is preserved.
+        A malformed epoch (wrong shape, or a NaN or infinite sample) raises a
+        ``ValueError`` before the buffer is touched, so the stream position
+        is preserved.
         """
         epoch = np.asarray(epoch, dtype=np.float32)
         if epoch.shape != (1, self.model.config.input_len):
             raise ops.ShapeError(
                 f"expected a [1, {self.model.config.input_len}] epoch, got shape {epoch.shape}"
             )
+        if not np.isfinite(epoch).all():
+            raise ValueError("epoch has a non-finite sample")
         probs = ops.softmax(self.model.cnn_logits(epoch[None], mode="infer"))[0]
         self._ring.append(probs)
         pad = [self._ring[0]] * (self.window - len(self._ring))

@@ -1,5 +1,8 @@
 """Checkpoint container round trips."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,30 @@ class TestContainer:
         data[len(data) // 2] ^= 0x55
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
+            read_container(path)
+
+    def test_rechecksummed_truncations_raise_checkpoint_error(self, tmp_path):
+        """Every prefix, given a valid checksum, fails with a format error."""
+        path = tmp_path / "t.ckpt"
+        write_container(path, {"alpha": np.ones((3, 4), dtype=np.float32),
+                               "b": np.arange(7, dtype=np.int8),
+                               "scalar": np.array(2.0)})
+        data = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for n in range(len(data) - 4):
+            body = data[:n]
+            bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+            with pytest.raises(CheckpointError):
+                read_container(bad)
+
+    def test_undecodable_name_reports_offset(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        write_container(path, {"alpha": np.ones(3, dtype=np.float32)})
+        body = bytearray(path.read_bytes()[:-4])
+        at = body.index(b"alpha")
+        body[at] = 0xFF
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        with pytest.raises(CheckpointError, match=f"byte {at}"):
             read_container(path)
 
     def test_bad_magic(self, tmp_path):

@@ -1,6 +1,8 @@
 """Command-line surface: a miniature pipeline plus error contracts."""
 
 import json
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +164,15 @@ class TestTrainQuantizeCompile:
         assert main(["compile", "--model", str(tmp_path / "missing.ckpt"),
                      "--out", str(tmp_path / "m.mnq")]) == 2
 
+    def test_truncated_rechecksummed_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        body = (root / "qmodel.ckpt").read_bytes()[:40]  # inside the tensor table
+        bad = tmp_path / "truncated.ckpt"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert main(["compile", "--model", str(bad), "--out", str(tmp_path / "m.mnq")]) == 2
+        assert "byte " in capsys.readouterr().err
+        assert not (tmp_path / "m.mnq").exists()
+
 
 class TestEvaluate:
     def test_json_schema(self, workspace, tmp_path):
@@ -228,6 +239,20 @@ class TestInfer:
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 2  # prior epochs emitted
         assert "epoch 2" in captured.err
+
+    def test_non_finite_epoch_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        root, data = workspace
+        epochs, _ = read_epochs(sorted(data.glob("*.epo"))[0])
+        chunk = epochs[:3].astype("<f4")
+        chunk[2, 0, 10] = np.nan
+        stream = tmp_path / "nan.f32"
+        stream.write_bytes(chunk.tobytes())
+        assert main(["infer", "--model", str(root / "model.mnq"),
+                     "--stream", str(stream)]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().splitlines()) == 2
+        assert "epoch 2:" in captured.err
+        assert "non-finite" in captured.err
 
 
 class TestBench:

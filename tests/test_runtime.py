@@ -6,13 +6,16 @@ import pytest
 from conftest import SMALL_CONFIG
 from integer_reference import simulate
 from morpheusnet.arena import Arena, Step, plan_memory
-from morpheusnet.engine import InferenceEngine
+from morpheusnet.engine import InferenceEngine, accumulator_dtype
 from morpheusnet.flatmodel import (
     Entry,
     FlatModelError,
     FlatModelSpec,
+    K_CONV,
     K_DENSE,
+    K_DEPTHWISE,
     K_GAP,
+    K_MAXPOOL,
     K_POINTWISE,
     MODEL_INPUT,
     NO_AUX,
@@ -230,6 +233,24 @@ class TestEngine:
             assert sa == sb
             np.testing.assert_array_equal(pa, pb)
 
+    def test_non_finite_epoch_raises_and_keeps_position(self, compiled):
+        blob, _, _ = compiled
+        engine = InferenceEngine(load_flat_model(blob))
+        epochs = np.random.default_rng(17).normal(size=(14, 1, 256)).astype(np.float32)
+        for e in epochs[:5]:
+            engine.infer_epoch(e)
+        for bad_value in (np.nan, np.inf, -np.inf):
+            bad = epochs[5].copy()
+            bad[0, 100] = bad_value
+            with pytest.raises(ValueError, match="non-finite"):
+                engine.infer_epoch(bad)
+        after_error = [engine.infer_epoch(e) for e in epochs[5:]]
+        engine.reset_stream()
+        clean = [engine.infer_epoch(e) for e in epochs][5:]
+        for (sa, pa), (sb, pb) in zip(after_error, clean):
+            assert sa == sb
+            np.testing.assert_array_equal(pa, pb)
+
     def test_first_epoch_prediction_exists(self, compiled):
         blob, _, _ = compiled
         engine = InferenceEngine(load_flat_model(blob))
@@ -239,29 +260,33 @@ class TestEngine:
         assert abs(probs.sum() - 1.0) < 1e-5
 
 
+def _pointwise_chain(in_qp, out_qp, w, w_scale, bias, length) -> FlatModelSpec:
+    """One quantized pointwise entry, then GAP and a zero-weight float head to
+    complete the chain. The engine reads the [1, in_ch * length] model input
+    row-major as in_ch channels of length samples."""
+    out_ch, in_ch = w.shape
+    rm = requant_multiplier(in_qp.scale, w_scale, out_qp.scale)
+    pw = Entry(K_POINTWISE, 2, in_ch, out_ch, 1, 1, length, length, MODEL_INPUT, NO_AUX,
+               out_qp.scale, out_qp.zero_point, rm, name="pw",
+               w_scale=w_scale, weights=w, bias=bias)
+    gap = Entry(K_GAP, 2, out_ch, out_ch, length, length, length, 1, 0, NO_AUX,
+                out_qp.scale, out_qp.zero_point, None, name="gap")
+    head = Entry(K_DENSE, 0, out_ch, 5, 0, 1, 1, 1, 1, NO_AUX, 0.0, 0, None,
+                 name="head", weights=np.zeros((5, out_ch), dtype=np.float32),
+                 bias=np.zeros(5, dtype=np.float32))
+    seq = SeqParams(5, 2, 2, 5)
+    for name, shape in seq.shapes().items():
+        seq.tensors[name] = np.zeros(shape, dtype=np.float32)
+    return FlatModelSpec(in_ch * length, 5, 2, 2, in_qp, [pw, gap, head], seq)
+
+
 class TestHandBuiltPointwise:
     def _spec(self):
-        """One quantized pointwise entry (2 channels, length 4), then GAP and
-        a zero-weight float head to complete the chain. The engine reads the
-        [1, 8] model input row-major as 2 channels of 4 samples."""
-        in_qp = QuantParams(0.5, -10)
-        out_qp = QuantParams(0.25, 3)
+        """2 channels of length 4."""
         w = np.array([[2, -1], [3, 4]], dtype=np.int8)
-        w_scale = 0.125
         bias = np.array([7, -5], dtype=np.int32)
-        rm = requant_multiplier(in_qp.scale, w_scale, out_qp.scale)
-        pw = Entry(K_POINTWISE, 2, 2, 2, 1, 1, 4, 4, MODEL_INPUT, NO_AUX,
-                   out_qp.scale, out_qp.zero_point, rm, name="pw",
-                   w_scale=w_scale, weights=w, bias=bias)
-        gap = Entry(K_GAP, 2, 2, 2, 4, 4, 4, 1, 0, NO_AUX,
-                    out_qp.scale, out_qp.zero_point, None, name="gap")
-        head = Entry(K_DENSE, 0, 2, 5, 0, 1, 1, 1, 1, NO_AUX, 0.0, 0, None,
-                     name="head", weights=np.zeros((5, 2), dtype=np.float32),
-                     bias=np.zeros(5, dtype=np.float32))
-        seq = SeqParams(5, 2, 2, 5)
-        for name, shape in seq.shapes().items():
-            seq.tensors[name] = np.zeros(shape, dtype=np.float32)
-        return FlatModelSpec(8, 5, 2, 2, in_qp, [pw, gap, head], seq)
+        return _pointwise_chain(QuantParams(0.5, -10), QuantParams(0.25, 3), w, 0.125,
+                                bias, 4)
 
     def test_matches_hand_int32_arithmetic(self):
         spec = self._spec()
@@ -283,6 +308,65 @@ class TestHandBuiltPointwise:
                 v = (mag if prod >= 0 else -mag) + 3
                 expect[o, pos] = max(-128, min(127, v))
         np.testing.assert_array_equal(traced["pw"], expect)
+
+
+class TestAccumulatorDtype:
+    def test_rule_boundary(self):
+        # 65793 * 255 = 2**24 - 1: the largest row sum float32 holds exactly
+        row = np.full(519, 127, dtype=np.int8)
+        row[-1] = 127 - (519 * 127 - 65793)
+        assert int(np.abs(row.astype(np.int64)).sum()) == 65793
+        assert accumulator_dtype(np.stack([row, np.zeros_like(row)])) is np.float32
+        row[-1] += 1
+        assert accumulator_dtype(np.stack([np.zeros_like(row), row])) is np.float64
+        # -128 counts as 128; conv and depthwise rows are per output channel
+        assert accumulator_dtype(np.full((2, 515, 1), -128, dtype=np.int8)) is np.float64
+        assert accumulator_dtype(np.full((3, 32), 127, dtype=np.int8)) is np.float32
+
+    def test_wide_pointwise_falls_back_to_float64_bit_exact(self):
+        """A quantized pointwise entry over 20001 channels. Row 0 runs 10000
+        weights of 127, then 10000 of -127 over the same inputs near the int8
+        maximum, so its partial sums climb past 2**24 (even when a product
+        splits them into 16 lanes) and cancel; the last channel (weight 1)
+        alone sets the result. The requantization ratio is 1, so rounding
+        partial sums to float32 would show in the output."""
+        half, length = 10000, 6
+        in_ch = 2 * half + 1
+        rng = np.random.default_rng(21)
+        in_qp = QuantParams(0.5, -128)
+        out_qp = QuantParams(0.25, 0)
+        w = rng.integers(-127, 128, (2, in_ch)).astype(np.int8)
+        w[0, :half], w[0, half:2 * half], w[0, -1] = 127, -127, 1
+        x = np.empty((in_ch, length), dtype=np.int8)
+        x[:half] = rng.integers(122, 128, (half, length))
+        x[half:2 * half] = x[:half]
+        x[-1] = rng.integers(-128, 128, length)
+        shifted = x.astype(np.int64) - in_qp.zero_point
+        assert np.cumsum(w[0].astype(np.int64)[:, None] * shifted, axis=0).max() >= 2**24
+        bias = np.array([-128, 0], dtype=np.int32)
+        spec = _pointwise_chain(in_qp, out_qp, w, 0.5, bias, length)
+        engine = InferenceEngine(spec)
+        assert engine._ctx[0]["acc"].dtype == np.float64
+        _, traced = engine.infer_cnn_int8(x.reshape(1, -1), trace=True)
+        reference = simulate(spec, x.reshape(1, -1))
+        np.testing.assert_array_equal(reference["pw"][0], shifted[-1] - 128)
+        for name in ("pw", "gap"):
+            expect = reference[name].reshape(traced[name].shape)
+            assert traced[name].tobytes() == expect.tobytes(), name
+
+
+def _frozen_default_spec(epochs: int) -> FlatModelSpec:
+    """The default architecture, frozen to int8 without fine-tuning."""
+    from morpheusnet.model import MorpheusConfig, build_morpheus
+
+    model = build_morpheus(MorpheusConfig(), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(epochs, 1, 3000)).astype(np.float32)
+    model.cnn_logits(x, mode="train")  # give batchnorm usable statistics
+    icnn = fold_cnn(model)
+    calib = calibrate_ranges(icnn, x)
+    qcnn = freeze_quantized(icnn, default_plan(icnn), calib.act_qparams)
+    return load_flat_model(compile_flat_model(qcnn, model.seq))
 
 
 class TestDefaultModelLowering:
@@ -308,17 +392,18 @@ class TestDefaultModelLowering:
         assert macs["seq.out"] == 160
         assert sum(macs.values()) == engine.profile(x[:1], runs=1).macs_total
 
-    def test_entry_layout_of_default_model(self):
-        from morpheusnet.model import MorpheusConfig, build_morpheus
+    def test_every_weighted_entry_accumulates_in_float32(self):
+        spec = _frozen_default_spec(4)
+        engine = InferenceEngine(spec)
+        weighted = [i for i, e in enumerate(spec.entries)
+                    if e.kind in (K_CONV, K_DEPTHWISE, K_POINTWISE, K_DENSE)]
+        assert len(weighted) == 12
+        for i in weighted:
+            assert spec.entries[i].quantized
+            assert engine._ctx[i]["acc"].dtype == np.float32, spec.entries[i].name
 
-        model = build_morpheus(MorpheusConfig(), seed=0)
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 1, 3000)).astype(np.float32)
-        model.cnn_logits(x, mode="train")
-        icnn = fold_cnn(model)
-        calib = calibrate_ranges(icnn, x)
-        qcnn = freeze_quantized(icnn, default_plan(icnn), calib.act_qparams)
-        spec = load_flat_model(compile_flat_model(qcnn, model.seq))
+    def test_entry_layout_of_default_model(self):
+        spec = _frozen_default_spec(4)
         kinds = [e.kind for e in spec.entries]
         from morpheusnet.flatmodel import (K_ADD, K_AVGPOOL, K_CONV, K_DENSE,
                                            K_DEPTHWISE, K_GAP, K_MAXPOOL,
@@ -333,6 +418,44 @@ class TestDefaultModelLowering:
             K_DEPTHWISE, K_POINTWISE, K_ADD,         # identity block
             K_GAP, K_DENSE,
         ]
+
+
+class TestFloatPooling:
+    def test_exclusion_plan_max_pools_match_numpy_reduction(self):
+        """Float max-pool entries of the exclusion plan equal numpy's max over
+        each window of their traced input, byte for byte; 254 samples and a
+        window of 5 over 63 leave remainders that pooling drops."""
+        from morpheusnet.model import LayerSpec, MorpheusConfig, build_morpheus
+
+        config = MorpheusConfig(input_len=254, layers=(
+            LayerSpec("start", filters=4, kernel=8, pool_kind="max", pool_size=4),
+            LayerSpec("identity_block", filters=4, kernel=4),
+            LayerSpec("pool", pool_kind="max", pool_size=5),
+        ))
+        model = build_morpheus(config, seed=3)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(8, 1, 254)).astype(np.float32)
+        model.cnn_logits(x, mode="train")
+        icnn = fold_cnn(model)
+        calib = calibrate_ranges(icnn, x)
+        qcnn = freeze_quantized(icnn, exclusion_plan(icnn), calib.act_qparams)
+        spec = load_flat_model(compile_flat_model(qcnn, model.seq))
+        engine = InferenceEngine(spec)
+        pools = [e for e in spec.entries if e.kind == K_MAXPOOL and not e.quantized]
+        assert len(pools) == 2
+        assert all(e.in_len % e.kernel for e in pools)
+        for _ in range(4):
+            q = rng.integers(-128, 128, size=(1, 254)).astype(np.int8)
+            _, traced = engine.infer_cnn_int8(q, trace=True)
+            for e in pools:
+                src = spec.entries[e.main_src]
+                assert not src.quantized
+                inp = traced[src.name].reshape(e.in_ch, e.in_len)
+                n = e.in_len // e.kernel
+                expect = inp[:, :n * e.kernel].reshape(e.in_ch, n, e.kernel).max(axis=2)
+                got = traced[e.name]
+                assert got.dtype == expect.dtype == np.float32
+                assert got.tobytes() == expect.tobytes(), e.name
 
 
 class TestMacCounts:

@@ -72,3 +72,20 @@ def test_malformed_epoch_preserves_position(model):
     for (sa, pa), (sb, pb) in zip(after_error, clean):
         assert sa == sb
         np.testing.assert_array_equal(pa, pb)
+
+
+def test_non_finite_epoch_preserves_position(model):
+    predictor = StreamPredictor(model)
+    epochs = _epochs(14, seed=6)
+    for e in epochs[:5]:
+        predictor.push(e)
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = epochs[5].copy()
+        bad[0, 17] = bad_value
+        with pytest.raises(ValueError, match="non-finite"):
+            predictor.push(bad)
+    after_error = [predictor.push(e) for e in epochs[5:]]
+    clean = predict_stream(model, epochs)[5:]
+    for (sa, pa), (sb, pb) in zip(after_error, clean):
+        assert sa == sb
+        np.testing.assert_array_equal(pa, pb)
