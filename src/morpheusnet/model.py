@@ -11,7 +11,6 @@ the CNN's per-epoch class probabilities followed by a small dense stack.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,28 +159,18 @@ class StartBlock:
         return length // self.pool_size
 
     def forward(self, x, mode, want_grads=False):
+        y, bconv = ops.run(ops.conv1d, want_grads, x, self.conv)
+        y, bbn = ops.run(ops.batchnorm1d, want_grads, y, self.bn, mode)
+        y, brelu = ops.run(ops.relu, want_grads, y)
+        y, bpool = ops.run(ops.pool1d, want_grads, y, self.pool_kind, self.pool_size)
         if not want_grads:
-            y = ops.conv1d(x, self.conv)
-            y = ops.batchnorm1d(y, self.bn, mode)
-            y = ops.relu(y)
-            return ops.pool1d(y, self.pool_kind, self.pool_size)
-        y1, bconv = ops.conv1d(x, self.conv, True)
-        y2, bbn = ops.batchnorm1d(y1, self.bn, mode, True)
-        y3, brelu = ops.relu(y2, True)
-        y4, bpool = ops.pool1d(y3, self.pool_kind, self.pool_size, True)
+            return y
 
         def backward(dy):
-            d3 = bpool(dy)
-            d2 = brelu(d3)
-            d1, dgamma, dbeta = bbn(d2)
-            self.bn.gamma.add_grad(dgamma)
-            self.bn.beta.add_grad(dbeta)
-            dx, dw, db = bconv(d1)
-            self.conv.weights.add_grad(dw)
-            self.conv.bias.add_grad(db)
-            return dx
+            d = ops.backprop(bbn, brelu(bpool(dy)), self.bn.parameters())
+            return ops.backprop(bconv, d, self.conv.parameters())
 
-        return y4, backward
+        return y, backward
 
     def named_parameters(self):
         return [
@@ -228,38 +217,20 @@ class ResidualBlock:
         return length
 
     def forward(self, x, mode, want_grads=False):
+        m, bsep = ops.run(ops.separable_conv1d, want_grads, x, self.sep)
+        m, bbn = ops.run(ops.batchnorm1d, want_grads, m, self.bn, mode)
+        m, brelu = ops.run(ops.relu, want_grads, m)
+        r, bres = ops.run(ops.conv1d, want_grads, x, self.residual) if self.projected else (x, None)
+        y = r + m
         if not want_grads:
-            m = ops.separable_conv1d(x, self.sep)
-            m = ops.batchnorm1d(m, self.bn, mode)
-            m = ops.relu(m)
-            r = ops.conv1d(x, self.residual) if self.projected else x
-            return r + m
-        m1, bsep = ops.separable_conv1d(x, self.sep, True)
-        m2, bbn = ops.batchnorm1d(m1, self.bn, mode, True)
-        m3, brelu = ops.relu(m2, True)
-        if self.projected:
-            r, bres = ops.conv1d(x, self.residual, True)
-        else:
-            r = x
-        y = r + m3
+            return y
 
         def backward(dy):
-            d2 = brelu(dy)
-            d1, dgamma, dbeta = bbn(d2)
-            self.bn.gamma.add_grad(dgamma)
-            self.bn.beta.add_grad(dbeta)
-            dx, ddw, dpw, db = bsep(d1)
-            self.sep.depthwise.add_grad(ddw)
-            self.sep.pointwise.add_grad(dpw)
-            self.sep.bias.add_grad(db)
-            if self.projected:
-                dxr, dwr, dbr = bres(dy)
-                self.residual.weights.add_grad(dwr)
-                self.residual.bias.add_grad(dbr)
-                dx = dx + dxr
-            else:
-                dx = dx + dy
-            return dx
+            d = ops.backprop(bbn, brelu(dy), self.bn.parameters())
+            dx = ops.backprop(bsep, d, self.sep.parameters())
+            if not self.projected:
+                return dx + dy
+            return dx + ops.backprop(bres, dy, self.residual.parameters())
 
         return y, backward
 
@@ -341,33 +312,20 @@ class SequenceLearner:
 
     def logits(self, x, mode, rng=0, want_grads=False):
         """``x`` is ``[B, T, classes]``; returns ``[B, classes]`` logits."""
+        hs, blstm = ops.run(ops.lstm_sequence, want_grads, x, self.lstm)
+        h, bd1 = ops.run(ops.dropout, want_grads, hs[:, -1, :], self.dropout_rate, rng, mode)
+        f, bfc = ops.run(ops.dense, want_grads, h, self.fc_w, self.fc_b)
+        f, brelu = ops.run(ops.relu, want_grads, f)
+        f, bd2 = ops.run(ops.dropout, want_grads, f, self.dropout_rate, rng, mode)
+        logits, bout = ops.run(ops.dense, want_grads, f, self.out_w, self.out_b)
         if not want_grads:
-            hs = ops.lstm_sequence(x, self.lstm)
-            h = hs[:, -1, :]
-            h = ops.dropout(h, self.dropout_rate, rng, mode)
-            f = ops.relu(ops.dense(h, self.fc_w, self.fc_b))
-            f = ops.dropout(f, self.dropout_rate, rng, mode)
-            return ops.dense(f, self.out_w, self.out_b)
-
-        hs, blstm = ops.lstm_sequence(x, self.lstm, True)
-        h = hs[:, -1, :]
-        d1, bd1 = ops.dropout(h, self.dropout_rate, rng, mode, True)
-        f1, bfc = ops.dense(d1, self.fc_w, self.fc_b, True)
-        f2, brelu = ops.relu(f1, True)
-        d2, bd2 = ops.dropout(f2, self.dropout_rate, rng, mode, True)
-        logits, bout = ops.dense(d2, self.out_w, self.out_b, True)
+            return logits
 
         def backward(dlogits):
-            dd2, dow, dob = bout(dlogits)
-            self.out_w.add_grad(dow)
-            self.out_b.add_grad(dob)
-            df1 = brelu(bd2(dd2))
-            dd1, dfw, dfb = bfc(df1)
-            self.fc_w.add_grad(dfw)
-            self.fc_b.add_grad(dfb)
-            dh = bd1(dd1)
+            d = ops.backprop(bout, dlogits, [self.out_w, self.out_b])
+            d = ops.backprop(bfc, brelu(bd2(d)), [self.fc_w, self.fc_b])
             dh_all = np.zeros_like(hs)
-            dh_all[:, -1, :] = dh
+            dh_all[:, -1, :] = bd1(d)
             dx, grads = blstm(dh_all)
             for name, g in grads.items():
                 getattr(self.lstm, name).add_grad(g)
@@ -402,27 +360,19 @@ class MorpheusModel:
             raise ops.ShapeError(
                 f"expected [B, 1, {self.config.input_len}] input, got shape {x.shape}"
             )
-        if not want_grads:
-            for block in self.blocks:
-                x = block.forward(x, mode)
-            g = x.mean(axis=2)
-            return ops.dense(g, self.head_w, self.head_b)
-
         backs = []
         for block in self.blocks:
-            x, bb = block.forward(x, mode, True)
-            backs.append(bb)
-        length = x.shape[2]
-        g = x.mean(axis=2)
-        logits, bdense = ops.dense(g, self.head_w, self.head_b, True)
+            x, back = ops.run(block.forward, want_grads, x, mode)
+            backs.append(back)
+        g, bgap = ops.run(ops.global_avg_pool, want_grads, x)
+        logits, bdense = ops.run(ops.dense, want_grads, g, self.head_w, self.head_b)
+        if not want_grads:
+            return logits
 
         def backward(dlogits):
-            dg, dw, db = bdense(dlogits)
-            self.head_w.add_grad(dw)
-            self.head_b.add_grad(db)
-            d = np.repeat(dg[:, :, None], length, axis=2) / length
-            for bb in reversed(backs):
-                d = bb(d)
+            d = bgap(ops.backprop(bdense, dlogits, [self.head_w, self.head_b]))
+            for back in reversed(backs):
+                d = back(d)
             return d
 
         return logits, backward
@@ -456,13 +406,6 @@ class MorpheusModel:
 
     def seq_parameters(self):
         return [t for _, t in self.seq.named_parameters()]
-
-    def state_tensors(self):
-        """Every array the model owns, trainable or not, by stable name."""
-        return dict(self.named_parameters() + self.named_buffers())
-
-    def clone(self) -> "MorpheusModel":
-        return copy.deepcopy(self)
 
 
 def build_morpheus(config: MorpheusConfig, seed: int = 0) -> MorpheusModel:

@@ -155,14 +155,13 @@ def mixture_weights(cell: Cell) -> np.ndarray:
 def _candidate_forward(cand: CandidateOp, x, out_channels, want_grads):
     """Run one candidate and zero-pad its channels up to the cell width."""
     if cand.kind == "normal_conv":
-        res = ops.conv1d(x, cand.params, want_grads)
+        y, back = ops.run(ops.conv1d, want_grads, x, cand.params)
     elif cand.kind == "separable_conv":
-        res = ops.separable_conv1d(x, cand.params, want_grads)
+        y, back = ops.run(ops.separable_conv1d, want_grads, x, cand.params)
     elif cand.kind in ("max_pool", "avg_pool"):
-        res = ops.pool1d(x, cand.kind[:3], cand.kernel_size, want_grads)
+        y, back = ops.run(ops.pool1d, want_grads, x, cand.kind[:3], cand.kernel_size)
     else:
         raise ValueError(f"unknown candidate kind {cand.kind!r}")
-    y, back = res if want_grads else (res, None)
     filters = y.shape[-2]
     if filters < out_channels:
         padded = np.zeros(y.shape[:-2] + (out_channels, y.shape[-1]), dtype=y.dtype)
@@ -199,19 +198,10 @@ def mixed_cell_forward(cell: Cell, x: np.ndarray, want_grads: bool = False):
         dx = np.zeros_like(np.asarray(x))
         for w, back, filters, cand in zip(weights, backs, widths, cell.candidates):
             d_cand = np.asarray(w, dtype=dy.dtype) * dy[..., :filters, :]
-            grads = back(d_cand)
-            if cand.kind == "normal_conv":
-                dxi, dw_, db_ = grads
-                cand.params.weights.add_grad(dw_)
-                cand.params.bias.add_grad(db_)
-            elif cand.kind == "separable_conv":
-                dxi, ddw, dpw, db_ = grads
-                cand.params.depthwise.add_grad(ddw)
-                cand.params.pointwise.add_grad(dpw)
-                cand.params.bias.add_grad(db_)
+            if cand.params is None:  # pooling: no parameters, backward returns dx alone
+                dx += back(d_cand)
             else:
-                dxi = grads
-            dx += dxi
+                dx += ops.backprop(back, d_cand, cand.parameters())
         return dx, dalpha.astype(cell.alpha.data.dtype)
 
     return mixed, backward
@@ -220,22 +210,15 @@ def mixed_cell_forward(cell: Cell, x: np.ndarray, want_grads: bool = False):
 def supernet_logits(net: SearchNetwork, x: np.ndarray, want_grads: bool = False):
     backs = []
     for cell in net.cells:
-        if want_grads:
-            x, back = mixed_cell_forward(cell, x, True)
-            backs.append(back)
-        else:
-            x = mixed_cell_forward(cell, x)
-    length = x.shape[-1]
-    pooled = x.mean(axis=-1)
+        x, back = ops.run(mixed_cell_forward, want_grads, cell, x)
+        backs.append(back)
+    pooled, bgap = ops.run(ops.global_avg_pool, want_grads, x)
+    logits, bdense = ops.run(ops.dense, want_grads, pooled, net.head_w, net.head_b)
     if not want_grads:
-        return ops.dense(pooled, net.head_w, net.head_b)
-    logits, bdense = ops.dense(pooled, net.head_w, net.head_b, True)
+        return logits
 
     def backward(dlogits):
-        dg, dw, db = bdense(dlogits)
-        net.head_w.add_grad(dw)
-        net.head_b.add_grad(db)
-        d = np.repeat(dg[..., None], length, axis=-1) / length
+        d = bgap(ops.backprop(bdense, dlogits, [net.head_w, net.head_b]))
         for cell, back in zip(reversed(net.cells), reversed(backs)):
             d, dalpha = back(d)
             cell.alpha.add_grad(dalpha)

@@ -2,10 +2,18 @@
 
 Every operation is a pure function over caller-owned arrays. With
 ``want_grads=True`` it returns ``(output, backward)`` where ``backward`` maps
-the upstream output gradient to the gradients of the inputs and parameters;
-otherwise it returns the output alone. Inputs may be single samples
+the upstream output gradient to the gradient of the input followed by the
+gradients of the parameters, in the order their owner's ``parameters()``
+lists them (``lstm_sequence`` returns a dict keyed by field name instead);
+otherwise it returns the output alone. ``run`` gives both cases the shape
+``(output, backward or None)`` so that a layer writes its forward once, and
+``backprop`` applies the parameter-order rule. Inputs may be single samples
 (``[C, L]``) or batches (``[B, C, L]``); gradients come back with the same
 layout.
+
+``separable_conv1d`` is ``depthwise_conv1d`` followed by ``pointwise_conv1d``;
+the halves stand alone where quantization observes the activation between
+them. ``global_avg_pool`` averages over time ahead of a classifier head.
 
 Convolutions use cross-correlation semantics (the machine-learning
 convention). Arithmetic stays in the dtype of the input, so training runs in
@@ -177,6 +185,20 @@ def _same_pad(length: int, kernel: int, stride: int) -> tuple[int, int]:
     return left, total - left
 
 
+def run(op, want_grads: bool, *args):
+    """``op(*args)`` as ``(output, backward)``; ``backward`` is None unless grads are wanted."""
+    return op(*args, want_grads=True) if want_grads else (op(*args), None)
+
+
+def backprop(backward, dy: np.ndarray, tensors) -> np.ndarray:
+    """Apply ``backward`` to ``dy``, add its parameter gradients into ``tensors``
+    (in ``parameters()`` order) and return the input gradient."""
+    dx, *grads = backward(dy)
+    for tensor, grad in zip(tensors, grads):
+        tensor.add_grad(grad)
+    return dx
+
+
 def conv1d(x: np.ndarray, params: Conv1dParams, want_grads: bool = False):
     """Strided cross-correlation with bias; returns ``[.., C_out, L_out]``."""
     xb, squeeze = _as_batched(x)
@@ -234,32 +256,54 @@ def conv1d(x: np.ndarray, params: Conv1dParams, want_grads: bool = False):
     return out, backward
 
 
-def separable_conv1d(x: np.ndarray, params: SeparableConv1dParams, want_grads: bool = False):
-    """Depthwise convolution followed by 1x1 pointwise channel mixing."""
+def depthwise_conv1d(x: np.ndarray, weights: Tensor, want_grads: bool = False):
+    """Per-channel same-length cross-correlation with ``[channels, kernel]`` weights, no bias."""
     xb, squeeze = _as_batched(x)
-    b, c_in, length = xb.shape
-    if c_in != params.in_channels:
-        raise ShapeError(
-            f"input has {c_in} channels, separable conv expects {params.in_channels}"
-        )
+    b, c, length = xb.shape
+    dw = weights.data
+    if dw.ndim != 2 or c != dw.shape[0]:
+        raise ShapeError(f"input has {c} channels, depthwise weights are {dw.shape}")
     if length == 0:
         raise ShapeError("zero-length input")
-    dw_w = params.depthwise.data
-    pw_w = params.pointwise.data
-    k = params.kernel_size
+    k = dw.shape[1]
 
     left, right = _same_pad(length, k, 1)
     if left or right:
-        xp = np.zeros((b, c_in, length + left + right), dtype=xb.dtype)
+        xp = np.zeros((b, c, length + left + right), dtype=xb.dtype)
         xp[:, :, left:left + length] = xb
     else:
         xp = xb
-
-    mid = np.zeros((b, c_in, length), dtype=xb.dtype)
+    y = np.zeros((b, c, length), dtype=xb.dtype)
     for kk in range(k):
-        mid += dw_w[None, :, kk, None] * xp[:, :, kk:kk + length]
-    y = np.matmul(pw_w, mid)  # [O,C] x [B,C,L] -> [B,O,L]
-    y += params.bias.data[None, :, None]
+        y += dw[None, :, kk, None] * xp[:, :, kk:kk + length]
+
+    out = y[0] if squeeze else y
+    if not want_grads:
+        return out
+
+    def backward(dy: np.ndarray):
+        dyb = dy[None] if squeeze else np.asarray(dy)
+        if dyb.shape != (b, c, length):  # only the shape: the output need not stay alive
+            raise ShapeError(f"upstream gradient shape {dyb.shape} != output {(b, c, length)}")
+        ddw = np.empty_like(dw)
+        dxp = np.zeros_like(xp)
+        for kk in range(k):
+            ddw[:, kk] = (dyb * xp[:, :, kk:kk + length]).sum(axis=(0, 2))
+            dxp[:, :, kk:kk + length] += dyb * dw[None, :, kk, None]
+        dx = dxp[:, :, left:left + length] if (left or right) else dxp
+        return (dx[0] if squeeze else dx), ddw
+
+    return out, backward
+
+
+def pointwise_conv1d(x: np.ndarray, weights: Tensor, bias: Tensor, want_grads: bool = False):
+    """1x1 channel mixing ``W @ x + b`` with ``[out_channels, in_channels]`` weights."""
+    xb, squeeze = _as_batched(x)
+    w = weights.data
+    if w.ndim != 2 or xb.shape[1] != w.shape[1]:
+        raise ShapeError(f"input has {xb.shape[1]} channels, pointwise weights are {w.shape}")
+    y = np.matmul(w, xb)  # [O,C] x [B,C,L] -> [B,O,L]
+    y += bias.data[None, :, None]
 
     out = y[0] if squeeze else y
     if not want_grads:
@@ -270,17 +314,26 @@ def separable_conv1d(x: np.ndarray, params: SeparableConv1dParams, want_grads: b
         if dyb.shape != y.shape:
             raise ShapeError(f"upstream gradient shape {dyb.shape} != output {y.shape}")
         db = dyb.sum(axis=(0, 2))
-        dpw = np.tensordot(dyb, mid, axes=([0, 2], [0, 2]))
-        dmid = np.matmul(pw_w.T, dyb)
-        ddw = np.empty_like(dw_w)
-        dxp = np.zeros_like(xp)
-        for kk in range(k):
-            ddw[:, kk] = (dmid * xp[:, :, kk:kk + length]).sum(axis=(0, 2))
-            dxp[:, :, kk:kk + length] += dmid * dw_w[None, :, kk, None]
-        dx = dxp[:, :, left:left + length] if (left or right) else dxp
-        return (dx[0] if squeeze else dx), ddw, dpw, db
+        dw = np.tensordot(dyb, xb, axes=([0, 2], [0, 2]))
+        dx = np.matmul(w.T, dyb)
+        return (dx[0] if squeeze else dx), dw, db
 
     return out, backward
+
+
+def separable_conv1d(x: np.ndarray, params: SeparableConv1dParams, want_grads: bool = False):
+    """Depthwise convolution followed by 1x1 pointwise channel mixing."""
+    mid, bdw = run(depthwise_conv1d, want_grads, x, params.depthwise)
+    y, bpw = run(pointwise_conv1d, want_grads, mid, params.pointwise, params.bias)
+    if not want_grads:
+        return y
+
+    def backward(dy: np.ndarray):
+        dmid, dpw, db = bpw(dy)
+        dx, ddw = bdw(dmid)
+        return dx, ddw, dpw, db
+
+    return y, backward
 
 
 def pool1d(x: np.ndarray, kind: str, window: int, want_grads: bool = False):
@@ -319,6 +372,20 @@ def pool1d(x: np.ndarray, kind: str, window: int, want_grads: bool = False):
         return dx[0] if squeeze else dx
 
     return out, backward
+
+
+def global_avg_pool(x: np.ndarray, want_grads: bool = False):
+    """Mean over the last (time) axis: ``[.., C, L]`` -> ``[.., C]``."""
+    xa = np.asarray(x)
+    y = xa.mean(axis=-1)
+    if not want_grads:
+        return y
+    length = xa.shape[-1]
+
+    def backward(dy: np.ndarray):
+        return np.repeat(np.asarray(dy)[..., None], length, axis=-1) / length
+
+    return y, backward
 
 
 def batchnorm1d(x: np.ndarray, state: BatchNormState, mode: str, want_grads: bool = False):

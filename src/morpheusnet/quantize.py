@@ -23,7 +23,13 @@ import numpy as np
 from . import ops
 from .model import MorpheusConfig, MorpheusModel, PoolLayer, ResidualBlock, StartBlock
 from .tensor import AdamState, Tensor, adam_step
-from .training import NumericalError, PhaseConfig, TrainConfig, train_sequence_learner
+from .training import (
+    NumericalError,
+    PhaseConfig,
+    TrainConfig,
+    causal_windows,
+    train_sequence_learner,
+)
 
 SCALE_FLOOR = 1e-8
 QMIN, QMAX = -128, 127
@@ -287,12 +293,6 @@ def validate_plan(plan: QuantizationPlan, icnn: InferenceCnn) -> None:
 # Forward pass shared by calibration, fine-tuning, and float simulation
 
 
-def _fq(x, qp, enabled, want_grads):
-    if not enabled:
-        return (x, (lambda dy: dy)) if want_grads else x
-    return fake_quantize(x, qp, want_grads)
-
-
 def icnn_forward(icnn: InferenceCnn, x, plan=None, act_qp=None, observer=None,
                  want_grads=False, weight_fq=True):
     """Run the folded CNN, optionally simulating quantization.
@@ -302,8 +302,10 @@ def icnn_forward(icnn: InferenceCnn, x, plan=None, act_qp=None, observer=None,
     activations at the points the integer runtime requantizes: the layer
     input, the depthwise output, and the block output. ``observer`` receives
     every activation tensor by name, which is how calibration collects
-    ranges. Returns logits, plus a backward closure under ``want_grads``
-    that accumulates parameter gradients into the folded weights.
+    ranges. Each block is one sequence of ops for inference and fine-tuning
+    alike; its backward closure, built only under ``want_grads``, passes
+    straight-through gradients to the folded weights. Returns logits, plus
+    that closure under ``want_grads``.
     """
     x = np.asarray(x)
     quantized = (lambda name: plan.flags.get(name, False)) if plan else (lambda name: False)
@@ -314,191 +316,107 @@ def icnn_forward(icnn: InferenceCnn, x, plan=None, act_qp=None, observer=None,
         if observer is not None:
             observer(name, arr)
 
-    def eff_weight(tensor: Tensor, on: bool):
+    def fq(arr, qparams):
+        """Fake-quant point as ``(value, backward)``; the identity when ``qparams`` is None."""
+        if qparams is None:
+            return arr, ((lambda dy: dy) if want_grads else None)
+        return ops.run(fake_quantize, want_grads, arr, qparams)
+
+    def weight(tensor: Tensor, on: bool):
         """Forward weight value (fake-quantized or raw) plus its STE hook."""
-        if not (on and weight_fq):
-            return tensor.data, None
-        res = fake_quantize(tensor.data, weight_qparams(tensor.data), want_grads)
-        return res if want_grads else (res, None)
+        return fq(tensor.data, weight_qparams(tensor.data) if on and weight_fq else None)
 
     def act(arr, qparams, on):
-        """Activation fake-quant point; identity when disabled."""
-        enabled = on and qparams is not None
-        if want_grads:
-            return _fq(arr, qparams, enabled, True)
-        return _fq(arr, qparams, enabled, False), None
+        return fq(arr, qparams if on else None)
+
+    def start(block: FoldedStart, xin, on):
+        w, bw = weight(block.conv.weights, on)
+        eff = ops.Conv1dParams(Tensor(w), block.conv.bias,
+                               stride=block.conv.stride, padding=block.conv.padding)
+        y, bconv = ops.run(ops.conv1d, want_grads, xin, eff)
+        y, brelu = ops.run(ops.relu, want_grads, y)
+        see(f"{block.name}.out", y)
+        y, bfo = act(y, qp.get(f"{block.name}.out"), on)
+        y, bpool = ops.run(ops.pool1d, want_grads, y, block.pool_kind, block.pool_size)
+        if not want_grads:
+            return y, None
+
+        def backward(dy):
+            d, dw, db = bconv(brelu(bfo(bpool(dy))))
+            block.conv.weights.add_grad(bw(dw))
+            block.conv.bias.add_grad(db)
+            return d
+
+        return y, backward
+
+    def residual(block: FoldedResidual, xin, on):
+        dw, bdw_w = weight(block.sep.depthwise, on)
+        pw, bpw_w = weight(block.sep.pointwise, on)
+        mid, bdw = ops.run(ops.depthwise_conv1d, want_grads, xin, Tensor(dw))
+        see(f"{block.name}.dw", mid)
+        mid, bfd = act(mid, qp.get(f"{block.name}.dw"), on)
+        y, bpw = ops.run(ops.pointwise_conv1d, want_grads, mid, Tensor(pw), block.sep.bias)
+        y, brelu = ops.run(ops.relu, want_grads, y)
+        if block.residual is not None:
+            rw, brw = weight(block.residual.weights, on)
+            eff_res = ops.Conv1dParams(Tensor(rw), block.residual.bias, padding="valid")
+            r, bres = ops.run(ops.conv1d, want_grads, xin, eff_res)
+        else:
+            r, bres = xin, None
+        y = r + y
+        see(f"{block.name}.out", y)
+        y, bfo = act(y, qp.get(f"{block.name}.out"), on)
+        if not want_grads:
+            return y, None
+
+        def backward(dy):
+            d = bfo(dy)
+            dmid, dpw, db = bpw(brelu(d))
+            block.sep.pointwise.add_grad(bpw_w(dpw))
+            block.sep.bias.add_grad(db)
+            dx, ddw = bdw(bfd(dmid))
+            block.sep.depthwise.add_grad(bdw_w(ddw))
+            if bres is None:
+                return dx + d
+            dxr, dwr, dbr = bres(d)
+            block.residual.weights.add_grad(brw(dwr))
+            block.residual.bias.add_grad(dbr)
+            return dx + dxr
+
+        return y, backward
 
     see("input", x)
     cur_qp = qp.get("input")
-
     for block in icnn.blocks:
         if isinstance(block, FoldedPool):
-            if want_grads:
-                x, bp = ops.pool1d(x, block.pool_kind, block.pool_size, True)
-                backs.append(bp)
-            else:
-                x = ops.pool1d(x, block.pool_kind, block.pool_size)
+            x, back = ops.run(ops.pool1d, want_grads, x, block.pool_kind, block.pool_size)
+            backs.append(back)
             continue
-
         on = quantized(block.name)
         xin, bfi = act(x, cur_qp, on)
-        out_qp = qp.get(f"{block.name}.out")
-
-        if isinstance(block, FoldedStart):
-            w_eff, w_hook = eff_weight(block.conv.weights, on)
-            eff = ops.Conv1dParams(Tensor(w_eff), Tensor(block.conv.bias.data),
-                                   stride=block.conv.stride, padding=block.conv.padding)
-            if want_grads:
-                y, bconv = ops.conv1d(xin, eff, True)
-                y, brelu = ops.relu(y, True)
-                see(f"{block.name}.out", y)
-                yq, bfo = act(y, out_qp, on)
-                x, bpool = ops.pool1d(yq, block.pool_kind, block.pool_size, True)
-
-                def back_start(dy, bpool=bpool, bfo=bfo, brelu=brelu, bconv=bconv,
-                               bfi=bfi, w_hook=w_hook, block=block):
-                    d = brelu(bfo(bpool(dy)))
-                    d, dw, db = bconv(d)
-                    block.conv.weights.add_grad(w_hook(dw) if w_hook else dw)
-                    block.conv.bias.add_grad(db)
-                    return bfi(d)
-
-                backs.append(back_start)
-            else:
-                y = ops.relu(ops.conv1d(xin, eff))
-                see(f"{block.name}.out", y)
-                yq, _ = act(y, out_qp, on)
-                x = ops.pool1d(yq, block.pool_kind, block.pool_size)
-
-        elif isinstance(block, FoldedResidual):
-            dw_eff, dw_hook = eff_weight(block.sep.depthwise, on)
-            pw_eff, pw_hook = eff_weight(block.sep.pointwise, on)
-            eff_sep = ops.SeparableConv1dParams(
-                Tensor(dw_eff), Tensor(pw_eff), Tensor(block.sep.bias.data))
-            dw_qp = qp.get(f"{block.name}.dw")
-            if want_grads:
-                mid, bdw = _depthwise_fwd(xin, eff_sep, True)
-                see(f"{block.name}.dw", mid)
-                midq, bfd = act(mid, dw_qp, on)
-                main, bpw = _pointwise_fwd(midq, eff_sep, True)
-                main, brelu = ops.relu(main, True)
-                if block.residual is not None:
-                    r_eff, r_hook = eff_weight(block.residual.weights, on)
-                    eff_res = ops.Conv1dParams(Tensor(r_eff), Tensor(block.residual.bias.data),
-                                               padding="valid")
-                    res, bres = ops.conv1d(xin, eff_res, True)
-                else:
-                    res, bres, r_hook = xin, None, None
-                y = res + main
-                see(f"{block.name}.out", y)
-                x, bfo = act(y, out_qp, on)
-
-                def back_res(dy, bfo=bfo, brelu=brelu, bpw=bpw, bfd=bfd, bdw=bdw,
-                             bres=bres, bfi=bfi, block=block,
-                             dw_hook=dw_hook, pw_hook=pw_hook, r_hook=r_hook):
-                    d = bfo(dy)
-                    dmidq, dpw, db = bpw(brelu(d))
-                    block.sep.pointwise.add_grad(pw_hook(dpw) if pw_hook else dpw)
-                    block.sep.bias.add_grad(db)
-                    dx, ddw = bdw(bfd(dmidq))
-                    block.sep.depthwise.add_grad(dw_hook(ddw) if dw_hook else ddw)
-                    if bres is not None:
-                        dxr, dwr, dbr = bres(d)
-                        block.residual.weights.add_grad(r_hook(dwr) if r_hook else dwr)
-                        block.residual.bias.add_grad(dbr)
-                        dx = dx + dxr
-                    else:
-                        dx = dx + d
-                    return bfi(dx)
-
-                backs.append(back_res)
-            else:
-                mid = _depthwise_fwd(xin, eff_sep, False)
-                see(f"{block.name}.dw", mid)
-                midq, _ = act(mid, dw_qp, on)
-                main = ops.relu(_pointwise_fwd(midq, eff_sep, False))
-                if block.residual is not None:
-                    r_eff, _ = eff_weight(block.residual.weights, on)
-                    res = ops.conv1d(xin, ops.Conv1dParams(
-                        Tensor(r_eff), Tensor(block.residual.bias.data), padding="valid"))
-                else:
-                    res = xin
-                y = res + main
-                see(f"{block.name}.out", y)
-                x, _ = act(y, out_qp, on)
-        cur_qp = out_qp if out_qp is not None else cur_qp
+        x, back = (start if isinstance(block, FoldedStart) else residual)(block, xin, on)
+        backs += [bfi, back]
+        cur_qp = qp.get(f"{block.name}.out", cur_qp)
 
     # global average pool and classifier head
-    length = x.shape[-1]
     on = quantized("head")
-    if want_grads:
-        pooled = x.mean(axis=-1)
-        pooled_q, bfh = act(pooled, cur_qp, on)
-        hw_eff, hw_hook = eff_weight(icnn.head_w, on)
-        logits, bdense = ops.dense(pooled_q, Tensor(hw_eff), icnn.head_b, True)
-
-        def backward(dlogits):
-            dp, dw, db = bdense(dlogits)
-            icnn.head_w.add_grad(hw_hook(dw) if hw_hook else dw)
-            icnn.head_b.add_grad(db)
-            dp = bfh(dp)
-            d = np.repeat(dp[:, :, None], length, axis=2) / length
-            for back in reversed(backs):
-                d = back(d)
-            return d
-
-        return logits, backward
-
-    pooled, _ = act(x.mean(axis=-1), cur_qp, on)
-    hw_eff, _ = eff_weight(icnn.head_w, on)
-    return ops.dense(pooled, Tensor(hw_eff), icnn.head_b)
-
-
-def _depthwise_fwd(x, sep: ops.SeparableConv1dParams, want_grads):
-    """Depthwise stage alone (same padding, stride 1, no bias)."""
-    xb = np.asarray(x)
-    b, c, length = xb.shape
-    k = sep.kernel_size
-    left = (k - 1) // 2
-    right = k - 1 - left
-    if left or right:
-        xp = np.zeros((b, c, length + left + right), dtype=xb.dtype)
-        xp[:, :, left:left + length] = xb
-    else:
-        xp = xb
-    dw = sep.depthwise.data
-    mid = np.zeros((b, c, length), dtype=xb.dtype)
-    for kk in range(k):
-        mid += dw[None, :, kk, None] * xp[:, :, kk:kk + length]
+    pooled, bgap = ops.run(ops.global_avg_pool, want_grads, x)
+    pooled, bfh = act(pooled, cur_qp, on)
+    hw, bhw = weight(icnn.head_w, on)
+    logits, bdense = ops.run(ops.dense, want_grads, pooled, Tensor(hw), icnn.head_b)
     if not want_grads:
-        return mid
+        return logits
 
-    def backward(dmid):
-        ddw = np.empty_like(dw)
-        dxp = np.zeros_like(xp)
-        for kk in range(k):
-            ddw[:, kk] = (dmid * xp[:, :, kk:kk + length]).sum(axis=(0, 2))
-            dxp[:, :, kk:kk + length] += dmid * dw[None, :, kk, None]
-        dx = dxp[:, :, left:left + length] if (left or right) else dxp
-        return dx, ddw
+    def backward(dlogits):
+        dp, dw, db = bdense(dlogits)
+        icnn.head_w.add_grad(bhw(dw))
+        icnn.head_b.add_grad(db)
+        d = bgap(bfh(dp))
+        for back in reversed(backs):
+            d = back(d)
+        return d
 
-    return mid, backward
-
-
-def _pointwise_fwd(mid, sep: ops.SeparableConv1dParams, want_grads):
-    pw = sep.pointwise.data
-    y = np.matmul(pw, mid)
-    y += sep.bias.data[None, :, None]
-    if not want_grads:
-        return y
-
-    def backward(dy):
-        db = dy.sum(axis=(0, 2))
-        dpw = np.tensordot(dy, mid, axes=([0, 2], [0, 2]))
-        dmid = np.matmul(pw.T, dy)
-        return dmid, dpw, db
-
-    return y, backward
+    return logits, backward
 
 
 # ---------------------------------------------------------------------------
@@ -688,19 +606,7 @@ def qat_finetune_cnn(icnn: InferenceCnn, plan: QuantizationPlan,
 
 def quantized_sequence_dataset(qcnn: QuantizedCnn, recordings, sequence_len: int = 12):
     """Causal windows over the quantized CNN's outputs (not the float CNN's)."""
-    xs, ys = [], []
-    for epochs, labels in recordings:
-        epochs = np.asarray(epochs)
-        labels = np.asarray(labels)
-        if len(epochs) < sequence_len:
-            continue
-        probs = qcnn.simulate_probs(epochs)
-        for i in range(sequence_len - 1, len(epochs)):
-            xs.append(probs[i - sequence_len + 1:i + 1])
-            ys.append(labels[i])
-    if not xs:
-        return (np.zeros((0, sequence_len, 5), dtype=np.float32), np.zeros(0, dtype=np.int64))
-    return np.stack(xs).astype(np.float32), np.asarray(ys, dtype=np.int64)
+    return causal_windows(recordings, qcnn.simulate_probs, sequence_len)
 
 
 def finetune_sequence_on_quantized(model: MorpheusModel, qcnn: QuantizedCnn,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .model import MorpheusModel
+from .model import NUM_STAGES, MorpheusModel
 from .tensor import AdamState, adam_step
 
 
@@ -118,29 +118,36 @@ def train_cnn(model: MorpheusModel, train_set, val_set, config: TrainConfig):
     return model, history
 
 
-def make_sequence_dataset(model: MorpheusModel, recordings, mode="infer"):
-    """Causal windows of CNN outputs, one sample per epoch with enough history.
+def causal_windows(recordings, probs_of, sequence_len: int, classes: int = NUM_STAGES):
+    """Causal windows of per-epoch probabilities, one sample per epoch with enough history.
 
     ``recordings`` is a list of ``(epochs [N,1,L], labels [N])`` pairs, each
-    time-ordered; windows never cross recording boundaries and recordings
-    shorter than the window yield nothing. Each sample is the window's
-    probability rows with the label of its final epoch.
+    time-ordered, and ``probs_of`` maps a recording's epochs to their
+    ``[N, classes]`` probability rows. Windows never cross recording
+    boundaries and recordings shorter than the window yield nothing. Each
+    sample is the window's probability rows with the label of its final epoch.
     """
-    t = model.config.sequence_len
+    t = sequence_len
     xs, ys = [], []
     for epochs, labels in recordings:
         epochs = np.asarray(epochs)
         labels = np.asarray(labels)
         if len(epochs) < t:
             continue
-        probs = model.cnn_probs(epochs, mode=mode)
+        probs = probs_of(epochs)
         for i in range(t - 1, len(epochs)):
             xs.append(probs[i - t + 1:i + 1])
             ys.append(labels[i])
     if not xs:
-        return (np.zeros((0, t, model.config.classes), dtype=np.float32),
+        return (np.zeros((0, t, classes), dtype=np.float32),
                 np.zeros(0, dtype=np.int64))
     return np.stack(xs).astype(np.float32), np.asarray(ys, dtype=np.int64)
+
+
+def make_sequence_dataset(model: MorpheusModel, recordings, mode="infer"):
+    """Causal windows (see ``causal_windows``) of the float CNN's outputs."""
+    return causal_windows(recordings, lambda epochs: model.cnn_probs(epochs, mode=mode),
+                          model.config.sequence_len, model.config.classes)
 
 
 def seq_accuracy(model: MorpheusModel, x, y, batch_size=512) -> float:

@@ -12,9 +12,11 @@ from morpheusnet.ops import (
     batchnorm1d,
     conv1d,
     dense,
+    depthwise_conv1d,
     dropout,
     fold_batchnorm,
     lstm_sequence,
+    pointwise_conv1d,
     pool1d,
     relu,
     separable_conv1d,
@@ -163,22 +165,24 @@ class TestSeparableConv1d:
         dw = rng.normal(size=(3, 4))
         pw = rng.normal(size=(2, 3))
         b = rng.normal(size=2)
-        y, back = separable_conv1d(x, _sep_params(dw, pw, b), want_grads=True)
-        dy = rng.normal(size=y.shape)
-        dx, ddw, dpw, db = back(dy)
+        # the composite, then each of its halves alone; every op takes its
+        # arrays positionally, and backward returns their gradients in order
+        cases = [
+            (lambda v, d, p, c, **kw: separable_conv1d(v, _sep_params(d, p, c), **kw),
+             [x, dw, pw, b]),
+            (lambda v, d, **kw: depthwise_conv1d(v, Tensor(d), **kw), [x, dw]),
+            (lambda v, p, c, **kw: pointwise_conv1d(v, Tensor(p), Tensor(c), **kw), [x, pw, b]),
+        ]
+        for op, args in cases:
+            y, back = op(*args, want_grads=True)
+            dy = rng.normal(size=y.shape)
+            grads = back(dy)
+            assert len(grads) == len(args)
+            for i, grad in enumerate(grads):
+                def loss(v, i=i):
+                    return float((op(*args[:i], v, *args[i + 1:]) * dy).sum())
 
-        check_gradient(
-            lambda v: float((separable_conv1d(v, _sep_params(dw, pw, b)) * dy).sum()),
-            x, dx, tol=1e-5)
-        check_gradient(
-            lambda v: float((separable_conv1d(x, _sep_params(v, pw, b)) * dy).sum()),
-            dw, ddw, tol=1e-5)
-        check_gradient(
-            lambda v: float((separable_conv1d(x, _sep_params(dw, v, b)) * dy).sum()),
-            pw, dpw, tol=1e-5)
-        check_gradient(
-            lambda v: float((separable_conv1d(x, _sep_params(dw, pw, v)) * dy).sum()),
-            b, db, tol=1e-5)
+                check_gradient(loss, args[i], grad, tol=1e-5)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
