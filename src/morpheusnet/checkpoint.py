@@ -22,12 +22,12 @@ import numpy as np
 
 from .model import MorpheusConfig, MorpheusModel, build_morpheus
 from .quantize import (
-    InferenceCnn,
     QuantizationPlan,
     QuantizedCnn,
     QuantParams,
     QuantizedTensor,
     fold_cnn,
+    validate_plan,
 )
 
 MAGIC = b"MNF1"
@@ -144,18 +144,21 @@ def load_model(path) -> MorpheusModel:
     config = MorpheusConfig.from_text(_tensor_text(tensors["meta.config"]))
     model = build_morpheus(config, seed=0)
     for name, t in model.named_parameters():
-        key = f"param.{name}"
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint is missing {key}")
-        if tensors[key].shape != t.data.shape:
-            raise CheckpointError(f"{key} has shape {tensors[key].shape}, "
-                                  f"expected {t.data.shape}")
-        t.data = tensors[key].astype(t.data.dtype)
+        t.data = _tensor(tensors, f"param.{name}", t.data.shape).astype(t.data.dtype)
     for name, t in model.named_buffers():
         key = f"buffer.{name}"
         if key in tensors:
             t.data = tensors[key].astype(t.data.dtype)
     return model
+
+
+def _tensor(tensors: dict[str, np.ndarray], key: str, shape) -> np.ndarray:
+    """``tensors[key]``, which must exist with ``shape``."""
+    if key not in tensors:
+        raise CheckpointError(f"checkpoint is missing {key}")
+    if tensors[key].shape != tuple(shape):
+        raise CheckpointError(f"{key} has shape {tensors[key].shape}, expected {tuple(shape)}")
+    return tensors[key]
 
 
 def save_quantized(path, qcnn: QuantizedCnn, model: MorpheusModel) -> None:
@@ -195,24 +198,29 @@ def load_quantized(path) -> tuple[QuantizedCnn, MorpheusModel]:
         act[name] = QuantParams(float(scale), int(zp))
 
     model = build_morpheus(config, seed=0)
-    icnn: InferenceCnn = fold_cnn(model)
-    for layer, pairs in icnn.named_weight_tensors().items():
+    icnn = fold_cnn(model)
+    try:
+        validate_plan(plan, icnn)
+    except ValueError as exc:
+        raise CheckpointError(f"meta.plan: {exc}") from exc
+    for point in ["input"] + [n.act for n in icnn.nodes if n.act is not None]:
+        if point not in act:
+            raise CheckpointError(f"meta.act_qparams is missing {point}")
+    for pairs in icnn.named_weight_tensors().values():
         for tname, t in pairs:
-            key = f"float.{tname}"
-            if key not in tensors:
-                raise CheckpointError(f"checkpoint is missing {key}")
-            t.data = tensors[key].astype(np.float32)
+            t.data = _tensor(tensors, f"float.{tname}", t.data.shape).astype(np.float32)
     qcnn = QuantizedCnn(icnn, plan, act)
-    for key, arr in tensors.items():
-        if key.startswith("int8."):
-            tname = key[5:]
-            scale = float(tensors[f"scale.{tname}"][0])
-            qcnn.weight_q[tname] = QuantizedTensor(arr, QuantParams(scale, 0))
-        elif key.startswith("int32."):
-            qcnn.bias_q[key[6:]] = arr.astype(np.int32)
+    # every weighted node of a quantized layer needs its frozen tensors
+    for node in icnn.nodes:
+        if node.weight is None or not plan.flags[node.layer]:
+            continue
+        wname, w = node.weight
+        values = _tensor(tensors, f"int8.{wname}", w.data.shape)
+        scale = float(_tensor(tensors, f"scale.{wname}", (1,))[0])
+        qcnn.weight_q[wname] = QuantizedTensor(values, QuantParams(scale, 0))
+        if node.bias is not None:
+            bname, b = node.bias
+            qcnn.bias_q[bname] = _tensor(tensors, f"int32.{bname}", b.data.shape).astype(np.int32)
     for name, t in model.seq.named_parameters():
-        key = f"param.{name}"
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint is missing {key}")
-        t.data = tensors[key].astype(np.float32)
+        t.data = _tensor(tensors, f"param.{name}", t.data.shape).astype(np.float32)
     return qcnn, model

@@ -19,7 +19,7 @@ from .engine import InferenceEngine
 from .flatmodel import compile_flat_model, load_flat_model
 from .manifest import RunManifest
 from .metrics import EvalReport, confusion_matrix, report_from_confusion
-from .model import STAGES, MorpheusConfig, build_morpheus
+from .model import STAGES, MorpheusConfig, build_morpheus, key_value_lines
 from .pipeline import SplitPlan, kfold_split, read_epochs, write_epochs
 from .quantize import (
     QuantizationPlan,
@@ -138,13 +138,7 @@ DESK_SEARCH_CONFIG = {
 
 def _parse_search_config(text: str) -> nas.SearchConfig:
     values = dict(DESK_SEARCH_CONFIG)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"search config line {lineno}: expected 'key = value'")
-        key, value = (p.strip() for p in line.split("=", 1))
+    for lineno, key, value in key_value_lines(text, "search config line"):
         if key not in values:
             raise InputError(f"search config line {lineno}: unknown key {key!r}")
         values[key] = value

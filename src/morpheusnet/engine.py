@@ -198,9 +198,9 @@ class InferenceEngine:
             "fc": self._acquire(seq.dense_hidden, np.float32),
             "logits": self._acquire(seq.classes, np.float32),
         }
-        self._ring = self._acquire((12, seq.input_size), np.float32)
-        self._ring_pos = 0
-        self._ring_fill = 0
+        # the causal window, oldest row first, front-padded with the earliest output
+        self._window = self._acquire((12, seq.input_size), np.float32)
+        self._filled = False
         self._probs = self._acquire(seq.classes, np.float32)
         self._probs_seq = self._acquire(seq.classes, np.float32)
 
@@ -241,7 +241,6 @@ class InferenceEngine:
     def _src_shape(self, src: int):
         if src == MODEL_INPUT:
             return (1, self.spec.config_input_len)
-        e = self.spec.entries[src]
         return self._out[src + 1].shape
 
     # -- input handling ------------------------------------------------------
@@ -411,8 +410,7 @@ class InferenceEngine:
     # -- full pipeline: int8 CNN + float sequence learner ---------------------
 
     def reset_stream(self) -> None:
-        self._ring_pos = 0
-        self._ring_fill = 0
+        self._filled = False
 
     def infer_epoch(self, epoch: np.ndarray):
         """Causal per-epoch prediction through the int8 CNN and float sequence
@@ -428,21 +426,14 @@ class InferenceEngine:
         if not np.isfinite(epoch).all():
             raise ValueError("epoch has a non-finite sample")
         probs = self.infer_cnn_int8(self.quantize_input(epoch))
-        window = self._ring.shape[0]
-        self._ring[self._ring_pos] = probs
-        self._ring_pos = (self._ring_pos + 1) % window
-        self._ring_fill = min(self._ring_fill + 1, window)
+        if self._filled:
+            self._window[:-1] = self._window[1:]
+            self._window[-1] = probs
+        else:  # the first epoch after a reset pads the whole window
+            self._window[...] = probs
+            self._filled = True
         seq_probs = self._run_seq()
         return int(np.argmax(seq_probs)), seq_probs.copy()
-
-    def _ring_item(self, t: int) -> np.ndarray:
-        """The t-th element (oldest first) of the front-padded window."""
-        window = self._ring.shape[0]
-        fill = self._ring_fill
-        oldest = (self._ring_pos - fill) % window
-        if t < window - fill:
-            return self._ring[oldest]
-        return self._ring[(oldest + (t - (window - fill))) % window]
 
     def _run_seq(self) -> np.ndarray:
         seq = self.spec.seq
@@ -452,8 +443,8 @@ class InferenceEngine:
         st["c"].fill(0.0)
         z = st["z"]
         gates = st["gates"]
-        for t in range(self._ring.shape[0]):
-            z[:seq.input_size] = self._ring_item(t)
+        for row in self._window:
+            z[:seq.input_size] = row
             z[seq.input_size:] = st["h"]
             np.matmul(w["w_i"], z, out=gates[0]); gates[0] += w["b_i"]
             np.matmul(w["w_f"], z, out=gates[1]); gates[1] += w["b_f"]

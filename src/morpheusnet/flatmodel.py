@@ -34,11 +34,9 @@ import numpy as np
 
 from .model import MorpheusConfig, SequenceLearner
 from .quantize import (
+    POOLS,
     QuantParams,
     QuantizedCnn,
-    FoldedPool,
-    FoldedResidual,
-    FoldedStart,
     RequantMultiplier,
     requant_multiplier,
 )
@@ -60,6 +58,10 @@ K_DENSE = 8
 
 F_RELU = 1
 F_QUANTIZED = 2
+
+# entry kind of each node kind of the folded CNN
+_KINDS = {"conv": K_CONV, "dw": K_DEPTHWISE, "pw": K_POINTWISE, "res": K_POINTWISE,
+          "add": K_ADD, "max": K_MAXPOOL, "avg": K_AVGPOOL, "gap": K_GAP, "dense": K_DENSE}
 
 _HEADER = struct.Struct("<4sHHIHHHHfiQQQ")
 _ENTRY = struct.Struct("<BBHHHHHIIHHfiiiQQ")
@@ -313,6 +315,13 @@ def compile_flat_model(qcnn: QuantizedCnn, seq: SequenceLearner,
                        size_budget: int = SIZE_BUDGET_BYTES) -> bytes:
     """Lower a quantized CNN plus float sequence learner into flat-model bytes.
 
+    Each node of the folded CNN becomes one entry, in node order. An entry's
+    input and output parameters are its producer's and its own
+    ``InferenceCnn.out_qparams``, except that a residual pw or res output,
+    which has no activation point, takes those of the add it feeds. Pools
+    and GAP carry their producer's quantized flag; every other entry its
+    layer's plan flag.
+
     Deterministic: identical inputs produce identical bytes. Raises if the
     result exceeds the size budget or batchnorm was not folded (guaranteed
     by construction from a folded CNN).
@@ -320,118 +329,52 @@ def compile_flat_model(qcnn: QuantizedCnn, seq: SequenceLearner,
     icnn = qcnn.icnn
     act = qcnn.act_qparams
     cfg: MorpheusConfig = icnn.config
+    nodes = icnn.nodes
+    if nodes[0].layer is None:
+        raise FlatModelError("model must start with a weighted block")
+
+    def out_qp(i: int) -> QuantParams | None:
+        qp = icnn.out_qparams(i, act)
+        if qp is None and nodes[i].kind in ("pw", "res"):  # summed by the next add
+            qp = out_qp(next(j for j in range(i + 1, len(nodes)) if nodes[j].kind == "add"))
+        return qp
+
     entries: list[Entry] = []
-
-    def qp_of(name: str) -> QuantParams:
-        return act[name]
-
-    def add_entry(entry: Entry) -> int:
-        entries.append(entry)
-        return len(entries) - 1
-
-    def weighted(kind, name, layer, wname, in_ch, out_ch, kernel, in_len, out_len,
-                 main_src, in_qp: QuantParams, out_qp: QuantParams | None, relu: bool):
-        quantize_layer = qcnn.plan.flags[layer]
-        flags = (F_RELU if relu else 0) | (F_QUANTIZED if quantize_layer else 0)
-        tensors = dict(icnn.named_weight_tensors()[layer])
-        bias_name = {
-            "conv.w": "conv.b", "sep.pw": "sep.b", "res.w": "res.b", "head.w": "head.b",
-        }
-        entry = Entry(kind, flags, in_ch, out_ch, kernel, 1, in_len, out_len,
-                      main_src, NO_AUX,
-                      out_qp.scale if out_qp else 0.0,
-                      out_qp.zero_point if out_qp else 0,
-                      None, name=name)
-        def bias_key() -> str:
-            suffix = next(s for s in bias_name if wname.endswith(s))
-            return wname[: len(wname) - len(suffix)] + bias_name[suffix]
-
-        if quantize_layer:
-            qt = qcnn.weight_q[wname]
+    for i, node in enumerate(nodes):
+        prev = entries[node.main] if node.main >= 0 else None
+        in_ch, in_len = (prev.out_ch, prev.out_len) if prev else (1, cfg.input_len)
+        pool = node.kind in POOLS
+        weighted = node.weight is not None
+        out_ch = node.weight[1].data.shape[0] if weighted and node.kind != "dw" else in_ch
+        out_len = in_len // node.window if pool else in_len
+        quantized = prev.quantized if pool else qcnn.plan.flags[node.layer]
+        flags = (F_RELU if node.relu else 0) | (F_QUANTIZED if quantized else 0)
+        qp = out_qp(i)
+        entry = Entry(_KINDS[node.kind], flags, in_ch, out_ch, node.window,
+                      node.window if pool else 1, in_len, out_len,
+                      MODEL_INPUT if node.main < 0 else node.main,
+                      NO_AUX if node.aux is None else MODEL_INPUT if node.aux < 0 else node.aux,
+                      qp.scale if qp else 0.0, qp.zero_point if qp else 0,
+                      None, name=node.name)
+        if weighted and quantized:
+            qt = qcnn.weight_q[node.weight[0]]
             entry.w_scale = qt.qparams.scale
             entry.weights = qt.values
-            if kind != K_DEPTHWISE:
-                entry.bias = qcnn.bias_q[bias_key()]
-            if out_qp is not None:
-                entry.rm = requant_multiplier(in_qp.scale, qt.qparams.scale, out_qp.scale)
-        else:
-            entry.weights = tensors[wname].data.astype(np.float32)
-            if kind != K_DEPTHWISE:
-                entry.bias = tensors[bias_key()].data.astype(np.float32)
-        return add_entry(entry)
-
-    if not icnn.blocks or isinstance(icnn.blocks[0], FoldedPool):
-        raise FlatModelError("model must start with a weighted block")
-    cur = MODEL_INPUT
-    cur_qp = qp_of("input")
-    channels, length = 1, cfg.input_len
-    for block in icnn.blocks:
-        if isinstance(block, FoldedPool):
-            out_len = length // block.pool_size
-            kind = K_MAXPOOL if block.pool_kind == "max" else K_AVGPOOL
-            prev = entries[cur]
-            cur = add_entry(Entry(kind, prev.flags & F_QUANTIZED, channels, channels,
-                                  block.pool_size, block.pool_size, length, out_len,
-                                  cur, NO_AUX, prev.out_scale, prev.out_zp, None,
-                                  name=block.name))
-            length = out_len
-        elif isinstance(block, FoldedStart):
-            out_qp = qp_of(f"{block.name}.out")
-            conv_idx = weighted(K_CONV, f"{block.name}.conv", block.name,
-                                f"{block.name}.conv.w", channels, block.conv.out_channels,
-                                block.conv.kernel_size, length, length,
-                                cur, cur_qp, out_qp, relu=True)
-            channels = block.conv.out_channels
-            out_len = length // block.pool_size
-            kind = K_MAXPOOL if block.pool_kind == "max" else K_AVGPOOL
-            quant_flag = entries[conv_idx].flags & F_QUANTIZED
-            cur = add_entry(Entry(kind, quant_flag, channels, channels,
-                                  block.pool_size, block.pool_size, length, out_len,
-                                  conv_idx, NO_AUX, out_qp.scale, out_qp.zero_point,
-                                  None, name=f"{block.name}.pool"))
-            length = out_len
-            cur_qp = out_qp
-        elif isinstance(block, FoldedResidual):
-            dw_qp = qp_of(f"{block.name}.dw")
-            out_qp = qp_of(f"{block.name}.out")
-            block_input = cur
-            in_qp = cur_qp
-            dw_idx = weighted(K_DEPTHWISE, f"{block.name}.dw", block.name,
-                              f"{block.name}.sep.dw", channels, channels,
-                              block.sep.kernel_size, length, length,
-                              cur, in_qp, dw_qp, relu=False)
-            pw_idx = weighted(K_POINTWISE, f"{block.name}.pw", block.name,
-                              f"{block.name}.sep.pw", channels, block.sep.out_channels,
-                              1, length, length, dw_idx, dw_qp, out_qp, relu=True)
-            if block.residual is not None:
-                res_idx = weighted(K_POINTWISE, f"{block.name}.res", block.name,
-                                   f"{block.name}.res.w", channels,
-                                   block.sep.out_channels, 1, length, length,
-                                   block_input, in_qp, out_qp, relu=False)
-                aux_idx, aux_qp = res_idx, out_qp
-            else:
-                aux_idx, aux_qp = block_input, in_qp
-            quantize_layer = qcnn.plan.flags[block.name]
-            add_flags = F_QUANTIZED if quantize_layer else 0
-            add = Entry(K_ADD, add_flags, block.sep.out_channels, block.sep.out_channels,
-                        0, 1, length, length, pw_idx, aux_idx,
-                        out_qp.scale, out_qp.zero_point, None,
-                        name=f"{block.name}.add")
-            if quantize_layer:
-                add.rm = requant_multiplier(aux_qp.scale, 1.0, out_qp.scale)
-            cur = add_entry(add)
-            channels = block.sep.out_channels
-            cur_qp = out_qp
-
-    prev = entries[cur]
-    gap_idx = add_entry(Entry(K_GAP, prev.flags & F_QUANTIZED, channels, channels,
-                              length, length, length, 1, cur, NO_AUX,
-                              prev.out_scale, prev.out_zp, None, name="gap"))
-    weighted(K_DENSE, "head", "head", "head.w", channels, cfg.classes, 0, 1, 1,
-             gap_idx, cur_qp, None, relu=False)
+            if node.bias is not None:
+                entry.bias = qcnn.bias_q[node.bias[0]]
+        elif weighted:
+            entry.weights = node.weight[1].data.astype(np.float32)
+            if node.bias is not None:
+                entry.bias = node.bias[1].data.astype(np.float32)
+        if quantized and qp is not None and not pool:
+            # an add rescales its aux operand into the output parameters
+            in_qp = out_qp(node.aux if node.kind == "add" else node.main)
+            entry.rm = requant_multiplier(in_qp.scale, entry.w_scale if weighted else 1.0,
+                                          qp.scale)
+        entries.append(entry)
 
     spec = FlatModelSpec(cfg.input_len, cfg.classes, cfg.lstm_hidden, cfg.dense_hidden,
-                         qp_of("input"), entries, _seq_from_learner(seq, cfg.classes))
+                         act["input"], entries, _seq_from_learner(seq, cfg.classes))
     data = serialize_spec(spec)
     if len(data) > size_budget:
         raise FlatModelError(

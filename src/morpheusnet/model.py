@@ -43,6 +43,22 @@ DEFAULT_LAYERS: tuple[LayerSpec, ...] = (
 )
 
 
+def key_value_lines(text: str, where: str, expect: str = "'key = value'"):
+    """``(lineno, key, value)`` for each ``key = value`` line of ``text``.
+
+    ``#`` starts a comment and blank lines are skipped; a line without ``=``
+    raises ``ValueError("{where} {lineno}: expected {expect}, got {line!r}")``.
+    """
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where} {lineno}: expected {expect}, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
 @dataclass
 class MorpheusConfig:
     input_len: int = 3000
@@ -86,13 +102,7 @@ class MorpheusConfig:
     def from_text(cls, text: str) -> "MorpheusConfig":
         scalars: dict[str, str] = {}
         layers: dict[int, LayerSpec] = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
+        for lineno, key, value in key_value_lines(text, "line"):
             if key.startswith("layer."):
                 idx = int(key.split(".", 1)[1])
                 tokens = value.split()

@@ -7,6 +7,14 @@ to int8. A plan marks each weighted layer ``quantize`` or ``keep_float``;
 layers kept float pass through the whole pipeline bit-identical, and the
 sequence learner is never quantized.
 
+The folded CNN is one list of nodes, one per entry of the compiled model and
+in entry order; calibration, fine-tuning, freezing and compilation all walk
+it. Two rules hold throughout. An output's quantization parameters are those
+of its activation point, its producer's for pools and GAP, and none
+otherwise (``InferenceCnn.out_qparams``). A node of a quantized layer reads
+each operand from outside its layer fake-quantized with those parameters,
+and fake-quantizes its own activation point.
+
 Weights quantize symmetrically per tensor (zero point 0); activations use
 asymmetric per-tensor parameters whose range always includes zero, so ReLU
 is exactly a clamp at the zero point in the integer domain. Rounding is
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .model import MorpheusConfig, MorpheusModel, PoolLayer, ResidualBlock, StartBlock
+from .model import MorpheusConfig, MorpheusModel, key_value_lines
 from .tensor import AdamState, Tensor, adam_step
 from .training import (
     NumericalError,
@@ -167,13 +175,8 @@ class QuantizationPlan:
     def from_text(cls, text: str) -> "QuantizationPlan":
         flags: dict[str, bool] = {}
         samples = 256
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"plan line {lineno}: expected 'layer = quantize|keep_float'")
-            key, value = (p.strip() for p in line.split("=", 1))
+        for lineno, key, value in key_value_lines(text, "plan line",
+                                                  "'layer = quantize|keep_float'"):
             if key == "calibration_samples":
                 samples = int(value)
             elif value in ("quantize", "keep_float"):
@@ -187,85 +190,112 @@ class QuantizationPlan:
 # Folded inference CNN
 
 
-@dataclass
-class FoldedStart:
-    name: str
-    conv: ops.Conv1dParams
-    pool_kind: str
-    pool_size: int
+POOLS = ("max", "avg", "gap")
 
 
 @dataclass
-class FoldedResidual:
-    name: str
-    sep: ops.SeparableConv1dParams
-    residual: ops.Conv1dParams | None  # None for identity blocks
+class Node:
+    """One operation of the folded CNN, and one entry of the compiled model.
 
+    ``kind`` is conv, dw, pw, res, add, max, avg, gap or dense. ``main`` and
+    ``aux`` index the producing nodes, -1 being the epoch; only an add has an
+    ``aux``. ``layer`` is the plan key (None for pools and GAP), ``act`` the
+    activation point observed after the node, and ``window`` the entry's
+    kernel: convolution taps (1 for pw and res), pooling window or GAP length,
+    0 for add and dense.
+    """
 
-@dataclass
-class FoldedPool:
+    kind: str
     name: str
-    pool_kind: str
-    pool_size: int
+    layer: str | None
+    main: int
+    aux: int | None = None
+    weight: tuple[str, Tensor] | None = None
+    bias: tuple[str, Tensor] | None = None
+    relu: bool = False
+    act: str | None = None
+    window: int = 0
+
+    def sources(self) -> tuple[int, ...]:
+        return (self.main,) if self.aux is None else (self.main, self.aux)
 
 
 @dataclass
 class InferenceCnn:
-    """Batchnorm-free CNN ready for calibration, fine-tuning, and freezing."""
+    """Batchnorm-free CNN ready for calibration, fine-tuning, and freezing:
+    a flat list of nodes in flat-model entry order."""
 
     config: MorpheusConfig
-    blocks: list
-    head_w: Tensor
-    head_b: Tensor
+    nodes: list[Node]
 
     def weighted_layer_names(self) -> list[str]:
-        names = [b.name for b in self.blocks if not isinstance(b, FoldedPool)]
-        return names + ["head"]
+        return list(dict.fromkeys(n.layer for n in self.nodes if n.layer is not None))
 
     def named_weight_tensors(self) -> dict[str, list[tuple[str, Tensor]]]:
-        """Per layer, its weight tensors (biases last)."""
+        """Per layer, its weight and bias tensors in node order."""
         out: dict[str, list[tuple[str, Tensor]]] = {}
-        for b in self.blocks:
-            if isinstance(b, FoldedStart):
-                out[b.name] = [(f"{b.name}.conv.w", b.conv.weights),
-                               (f"{b.name}.conv.b", b.conv.bias)]
-            elif isinstance(b, FoldedResidual):
-                entries = [(f"{b.name}.sep.dw", b.sep.depthwise),
-                           (f"{b.name}.sep.pw", b.sep.pointwise),
-                           (f"{b.name}.sep.b", b.sep.bias)]
-                if b.residual is not None:
-                    entries += [(f"{b.name}.res.w", b.residual.weights),
-                                (f"{b.name}.res.b", b.residual.bias)]
-                out[b.name] = entries
-        out["head"] = [("head.w", self.head_w), ("head.b", self.head_b)]
+        for n in self.nodes:
+            if n.layer is not None:
+                out.setdefault(n.layer, []).extend(t for t in (n.weight, n.bias) if t)
         return out
+
+    def out_qparams(self, i: int, act_qp: dict[str, QuantParams]) -> QuantParams | None:
+        """Quantization parameters of node ``i``'s output (-1: the epoch).
+
+        A node with an activation point has that point's parameters; pools
+        and GAP keep their producer's; any other node has none.
+        """
+        if i < 0:
+            return act_qp["input"]
+        node = self.nodes[i]
+        if node.act is not None:
+            return act_qp[node.act]
+        if node.kind in POOLS:
+            return self.out_qparams(node.main, act_qp)
+        return None
 
 
 def fold_cnn(model: MorpheusModel) -> InferenceCnn:
-    """Fold every block's batchnorm into its convolution weights."""
-    blocks = []
+    """Fold every block's batchnorm into its convolution weights and lower
+    the CNN to nodes, one per flat-model entry."""
+    nodes: list[Node] = []
+
+    def add(node: Node) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
+
+    cur, length = -1, model.config.input_len
     for block in model.blocks:
-        if isinstance(block, StartBlock):
-            folded = ops.fold_batchnorm(block.conv, block.bn)
-            blocks.append(FoldedStart(block.name, folded, block.pool_kind, block.pool_size))
-        elif isinstance(block, ResidualBlock):
-            folded = ops.fold_batchnorm(block.sep, block.bn)
-            residual = None
+        name = block.name
+        if block.kind == "start":
+            conv = ops.fold_batchnorm(block.conv, block.bn)
+            cur = add(Node("conv", f"{name}.conv", name, cur,
+                           weight=(f"{name}.conv.w", conv.weights),
+                           bias=(f"{name}.conv.b", conv.bias),
+                           relu=True, act=f"{name}.out", window=conv.kernel_size))
+            cur = add(Node(block.pool_kind, f"{name}.pool", None, cur, window=block.pool_size))
+        elif block.kind in ("conv_block", "identity_block"):
+            sep = ops.fold_batchnorm(block.sep, block.bn)
+            dw = add(Node("dw", f"{name}.dw", name, cur, weight=(f"{name}.sep.dw", sep.depthwise),
+                          act=f"{name}.dw", window=sep.kernel_size))
+            pw = add(Node("pw", f"{name}.pw", name, dw, weight=(f"{name}.sep.pw", sep.pointwise),
+                          bias=(f"{name}.sep.b", sep.bias), relu=True, window=1))
+            aux = cur  # identity blocks add their input
             if block.projected:
-                residual = ops.Conv1dParams(
-                    Tensor(block.residual.weights.data.copy()),
-                    Tensor(block.residual.bias.data.copy()),
-                    padding="valid",
-                )
-            blocks.append(FoldedResidual(block.name, folded, residual))
-        elif isinstance(block, PoolLayer):
-            blocks.append(FoldedPool(block.name, block.pool_kind, block.pool_size))
+                res = block.residual
+                aux = add(Node("res", f"{name}.res", name, cur,
+                               weight=(f"{name}.res.w", Tensor(res.weights.data.copy())),
+                               bias=(f"{name}.res.b", Tensor(res.bias.data.copy())), window=1))
+            cur = add(Node("add", f"{name}.add", name, pw, aux, act=f"{name}.out"))
+        elif block.kind == "pool":
+            cur = add(Node(block.pool_kind, name, None, cur, window=block.pool_size))
         else:
             raise TypeError(f"cannot fold {type(block).__name__}")
-    return InferenceCnn(
-        model.config, blocks,
-        Tensor(model.head_w.data.copy()), Tensor(model.head_b.data.copy()),
-    )
+        length = block.out_len(length)
+    gap = add(Node("gap", "gap", None, cur, window=length))
+    add(Node("dense", "head", "head", gap, weight=("head.w", Tensor(model.head_w.data.copy())),
+             bias=("head.b", Tensor(model.head_b.data.copy()))))
+    return InferenceCnn(model.config, nodes)
 
 
 def default_plan(icnn: InferenceCnn, calibration_samples: int = 256) -> QuantizationPlan:
@@ -297,126 +327,115 @@ def icnn_forward(icnn: InferenceCnn, x, plan=None, act_qp=None, observer=None,
                  want_grads=False, weight_fq=True):
     """Run the folded CNN, optionally simulating quantization.
 
-    With ``plan`` and ``act_qp`` given, layers marked quantize see
-    fake-quantized weights (when ``weight_fq``) and fake-quantized
-    activations at the points the integer runtime requantizes: the layer
-    input, the depthwise output, and the block output. ``observer`` receives
-    every activation tensor by name, which is how calibration collects
-    ranges. Each block is one sequence of ops for inference and fine-tuning
-    alike; its backward closure, built only under ``want_grads``, passes
-    straight-through gradients to the folded weights. Returns logits, plus
-    that closure under ``want_grads``.
+    With ``plan`` and ``act_qp`` given, a node of a layer marked quantize
+    reads each operand from outside its layer fake-quantized with the
+    producer's ``out_qparams`` (once per tensor), sees fake-quantized weights
+    (when ``weight_fq``) and fake-quantizes its own activation point.
+    ``observer`` receives every activation point by name before that, which
+    is how calibration collects ranges. Each value is dropped after its last
+    reader. Under ``want_grads`` every step records its backward on a tape,
+    which the returned closure walks in reverse, summing the gradients of a
+    tensor read twice and passing straight-through gradients to the folded
+    weights. Returns logits, plus that closure under ``want_grads``.
     """
-    x = np.asarray(x)
-    quantized = (lambda name: plan.flags.get(name, False)) if plan else (lambda name: False)
-    qp = act_qp or {}
-    backs = []
+    nodes = icnn.nodes
+    last = {src: i for i, node in enumerate(nodes) for src in node.sources()}
+    vals: dict = {-1: np.asarray(x)}  # node index, or ("fq", index) for a fake-quantized read
+    tape = []  # (value key, operand keys, backward giving one gradient per operand)
+    see = observer or (lambda name, arr: None)
 
-    def see(name, arr):
-        if observer is not None:
-            observer(name, arr)
+    def read(src, layer, on):
+        """The key of operand ``src`` as a node of ``layer`` reads it."""
+        if not on or (src >= 0 and nodes[src].layer == layer):
+            return src
+        key = ("fq", src)
+        if key not in vals:
+            qparams = icnn.out_qparams(src, act_qp)
+            vals[key], back = ops.run(fake_quantize, want_grads, vals[src], qparams)
+            if want_grads:
+                tape.append((key, (src,), lambda d: (back(d),)))
+        return key
 
-    def fq(arr, qparams):
-        """Fake-quant point as ``(value, backward)``; the identity when ``qparams`` is None."""
-        if qparams is None:
-            return arr, ((lambda dy: dy) if want_grads else None)
-        return ops.run(fake_quantize, want_grads, arr, qparams)
+    see("input", vals[-1])
+    for i, node in enumerate(nodes):
+        on = plan is not None and node.layer is not None and plan.flags.get(node.layer, False)
+        keys = [read(src, node.layer, on) for src in node.sources()]
+        w, bw = None, None
+        if node.weight is not None:
+            w = node.weight[1].data
+            if on and weight_fq:
+                w, bw = ops.run(fake_quantize, want_grads, w, weight_qparams(w))
+        y, bop = _node_op(node, [vals[k] for k in keys], w, want_grads)
+        for src in node.sources():
+            if last[src] == i:
+                del vals[src]
+                vals.pop(("fq", src), None)
+        brelu = bact = None
+        if node.relu:
+            y, brelu = ops.run(ops.relu, want_grads, y)
+        if node.act is not None:
+            see(node.act, y)
+            if on:
+                y, bact = ops.run(fake_quantize, want_grads, y, act_qp[node.act])
+        vals[i] = y
+        if want_grads:
+            tape.append((i, keys, _node_backward(node, bop, bw, brelu, bact)))
 
-    def weight(tensor: Tensor, on: bool):
-        """Forward weight value (fake-quantized or raw) plus its STE hook."""
-        return fq(tensor.data, weight_qparams(tensor.data) if on and weight_fq else None)
-
-    def act(arr, qparams, on):
-        return fq(arr, qparams if on else None)
-
-    def start(block: FoldedStart, xin, on):
-        w, bw = weight(block.conv.weights, on)
-        eff = ops.Conv1dParams(Tensor(w), block.conv.bias,
-                               stride=block.conv.stride, padding=block.conv.padding)
-        y, bconv = ops.run(ops.conv1d, want_grads, xin, eff)
-        y, brelu = ops.run(ops.relu, want_grads, y)
-        see(f"{block.name}.out", y)
-        y, bfo = act(y, qp.get(f"{block.name}.out"), on)
-        y, bpool = ops.run(ops.pool1d, want_grads, y, block.pool_kind, block.pool_size)
-        if not want_grads:
-            return y, None
-
-        def backward(dy):
-            d, dw, db = bconv(brelu(bfo(bpool(dy))))
-            block.conv.weights.add_grad(bw(dw))
-            block.conv.bias.add_grad(db)
-            return d
-
-        return y, backward
-
-    def residual(block: FoldedResidual, xin, on):
-        dw, bdw_w = weight(block.sep.depthwise, on)
-        pw, bpw_w = weight(block.sep.pointwise, on)
-        mid, bdw = ops.run(ops.depthwise_conv1d, want_grads, xin, Tensor(dw))
-        see(f"{block.name}.dw", mid)
-        mid, bfd = act(mid, qp.get(f"{block.name}.dw"), on)
-        y, bpw = ops.run(ops.pointwise_conv1d, want_grads, mid, Tensor(pw), block.sep.bias)
-        y, brelu = ops.run(ops.relu, want_grads, y)
-        if block.residual is not None:
-            rw, brw = weight(block.residual.weights, on)
-            eff_res = ops.Conv1dParams(Tensor(rw), block.residual.bias, padding="valid")
-            r, bres = ops.run(ops.conv1d, want_grads, xin, eff_res)
-        else:
-            r, bres = xin, None
-        y = r + y
-        see(f"{block.name}.out", y)
-        y, bfo = act(y, qp.get(f"{block.name}.out"), on)
-        if not want_grads:
-            return y, None
-
-        def backward(dy):
-            d = bfo(dy)
-            dmid, dpw, db = bpw(brelu(d))
-            block.sep.pointwise.add_grad(bpw_w(dpw))
-            block.sep.bias.add_grad(db)
-            dx, ddw = bdw(bfd(dmid))
-            block.sep.depthwise.add_grad(bdw_w(ddw))
-            if bres is None:
-                return dx + d
-            dxr, dwr, dbr = bres(d)
-            block.residual.weights.add_grad(brw(dwr))
-            block.residual.bias.add_grad(dbr)
-            return dx + dxr
-
-        return y, backward
-
-    see("input", x)
-    cur_qp = qp.get("input")
-    for block in icnn.blocks:
-        if isinstance(block, FoldedPool):
-            x, back = ops.run(ops.pool1d, want_grads, x, block.pool_kind, block.pool_size)
-            backs.append(back)
-            continue
-        on = quantized(block.name)
-        xin, bfi = act(x, cur_qp, on)
-        x, back = (start if isinstance(block, FoldedStart) else residual)(block, xin, on)
-        backs += [bfi, back]
-        cur_qp = qp.get(f"{block.name}.out", cur_qp)
-
-    # global average pool and classifier head
-    on = quantized("head")
-    pooled, bgap = ops.run(ops.global_avg_pool, want_grads, x)
-    pooled, bfh = act(pooled, cur_qp, on)
-    hw, bhw = weight(icnn.head_w, on)
-    logits, bdense = ops.run(ops.dense, want_grads, pooled, Tensor(hw), icnn.head_b)
+    logits = vals[len(nodes) - 1]
     if not want_grads:
         return logits
 
     def backward(dlogits):
-        dp, dw, db = bdense(dlogits)
-        icnn.head_w.add_grad(bhw(dw))
-        icnn.head_b.add_grad(db)
-        d = bgap(bfh(dp))
-        for back in reversed(backs):
-            d = back(d)
-        return d
+        grads = {len(nodes) - 1: dlogits}
+        for key, srcs, back in reversed(tape):
+            for src, g in zip(srcs, back(grads.pop(key))):
+                grads[src] = g if src not in grads else grads[src] + g
+        return grads[-1]
 
     return logits, backward
+
+
+def _node_op(node: Node, xs: list, w, want_grads: bool):
+    """The node's op on its operand values ``xs`` with weight values ``w``,
+    as ``(output, backward)``."""
+    w = None if w is None else Tensor(w)
+    bias = None if node.bias is None else node.bias[1]
+    if node.kind in ("conv", "res"):
+        # the projection is a kernel-1 conv1d: pointwise_conv1d multiplies in another order
+        params = ops.Conv1dParams(w, bias, padding="same" if node.kind == "conv" else "valid")
+        return ops.run(ops.conv1d, want_grads, xs[0], params)
+    if node.kind == "dw":
+        return ops.run(ops.depthwise_conv1d, want_grads, xs[0], w)
+    if node.kind == "pw":
+        return ops.run(ops.pointwise_conv1d, want_grads, xs[0], w, bias)
+    if node.kind == "dense":
+        return ops.run(ops.dense, want_grads, xs[0], w, bias)
+    if node.kind == "add":
+        return xs[0] + xs[1], (lambda d: (d, d))
+    if node.kind == "gap":
+        return ops.run(ops.global_avg_pool, want_grads, xs[0])
+    return ops.run(ops.pool1d, want_grads, xs[0], node.kind, node.window)
+
+
+def _node_backward(node: Node, bop, bw, brelu, bact):
+    """Backward of one node, one gradient per operand: activation
+    fake-quant, ReLU, then the op, whose weight gradient passes the
+    straight-through hook ``bw``."""
+
+    def backward(d):
+        if bact is not None:
+            d = bact(d)
+        if brelu is not None:
+            d = brelu(d)
+        if node.weight is None:  # add, pools and GAP
+            return bop(d) if node.kind == "add" else (bop(d),)
+        dx, dw, *db = bop(d)
+        node.weight[1].add_grad(dw if bw is None else bw(dw))
+        if db:
+            node.bias[1].add_grad(db[0])
+        return (dx,)
+
+    return backward
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +465,8 @@ def calibrate_ranges(icnn: InferenceCnn, calibration_epochs: np.ndarray) -> Cali
 
     def observer(name, arr):
         lo, hi = float(arr.min()), float(arr.max())
-        if name in ranges:
-            plo, phi = ranges[name]
-            ranges[name] = (min(plo, lo), max(phi, hi))
-        else:
-            ranges[name] = (lo, hi)
+        plo, phi = ranges.get(name, (lo, hi))
+        ranges[name] = (min(plo, lo), max(phi, hi))
 
     for start in range(0, len(calibration_epochs), 128):
         icnn_forward(icnn, calibration_epochs[start:start + 128], observer=observer)
@@ -500,66 +516,34 @@ class QuantizedCnn:
     def _sim_icnn(self) -> InferenceCnn:
         if not hasattr(self, "_sim_cache"):
             sim = copy.deepcopy(self.icnn)
-            for name, tensors in sim.named_weight_tensors().items():
-                if not self.plan.flags[name]:
-                    continue
-                for tname, tensor in tensors:
-                    if tname in self.weight_q:
-                        tensor.data = dequantize(self.weight_q[tname]).astype(np.float32)
+            for node in sim.nodes:  # weight_q holds the weights of quantized layers only
+                if node.weight is not None and node.weight[0] in self.weight_q:
+                    tname, tensor = node.weight
+                    tensor.data = dequantize(self.weight_q[tname]).astype(np.float32)
             self._sim_cache = sim
         return self._sim_cache
 
 
-def _bias_input_scales(icnn: InferenceCnn, act_qp: dict[str, QuantParams]):
-    """Input activation scale feeding each weighted tensor, for bias quantization."""
-    scales: dict[str, float] = {}
-    cur = "input"
-    for block in icnn.blocks:
-        if isinstance(block, FoldedPool):
-            continue
-        if isinstance(block, FoldedStart):
-            scales[f"{block.name}.conv.w"] = act_qp[cur].scale
-        elif isinstance(block, FoldedResidual):
-            scales[f"{block.name}.sep.dw"] = act_qp[cur].scale
-            scales[f"{block.name}.sep.pw"] = act_qp[f"{block.name}.dw"].scale
-            if block.residual is not None:
-                scales[f"{block.name}.res.w"] = act_qp[cur].scale
-        cur = f"{block.name}.out"
-    scales["head.w"] = act_qp[cur].scale
-    return scales
-
-
 def freeze_quantized(icnn: InferenceCnn, plan: QuantizationPlan,
                      act_qp: dict[str, QuantParams]) -> QuantizedCnn:
-    """Quantize weights to int8 and biases to int32 for every planned layer."""
+    """Quantize weights to int8 and biases to int32 for every planned layer.
+
+    A bias adds to its node's accumulator, so it quantizes at the scale of
+    the node's input (the producer's ``out_qparams``) times the weight scale.
+    """
     validate_plan(plan, icnn)
     qcnn = QuantizedCnn(icnn, plan, dict(act_qp))
-    in_scales = _bias_input_scales(icnn, act_qp)
-    # each bias belongs to one weight stage; its scale is input_scale * weight_scale
-    bias_stage = {"conv.b": "conv.w", "sep.b": "sep.pw", "res.b": "res.w", "head.b": "head.w"}
-    for layer, tensors in icnn.named_weight_tensors().items():
-        if not plan.flags[layer]:
+    for node in icnn.nodes:
+        if node.weight is None or not plan.flags[node.layer]:
             continue
-        w_scales: dict[str, float] = {}
-        for tname, tensor in tensors:
-            if tname.endswith(".b"):
-                continue
-            qp = weight_qparams(tensor.data)
-            qcnn.weight_q[tname] = quantize_tensor(tensor.data, qp)
-            w_scales[tname] = qp.scale
-        for tname, tensor in tensors:
-            if not tname.endswith(".b"):
-                continue
-            pair = next(
-                (tname[: len(tname) - len(bs)] + ws for bs, ws in bias_stage.items()
-                 if tname.endswith(bs)),
-                None,
-            )
-            if pair is None or pair not in w_scales:
-                raise ValueError(f"no weight stage found for bias {tname}")
-            bias_scale = in_scales[pair] * w_scales[pair]
-            q = round_half_away(tensor.data.astype(np.float64) / bias_scale)
-            qcnn.bias_q[tname] = np.clip(q, -2**31, 2**31 - 1).astype(np.int32)
+        wname, w = node.weight
+        qp = weight_qparams(w.data)
+        qcnn.weight_q[wname] = quantize_tensor(w.data, qp)
+        if node.bias is not None:
+            bname, b = node.bias
+            bias_scale = icnn.out_qparams(node.main, act_qp).scale * qp.scale
+            q = round_half_away(b.data.astype(np.float64) / bias_scale)
+            qcnn.bias_q[bname] = np.clip(q, -2**31, 2**31 - 1).astype(np.int32)
     return qcnn
 
 

@@ -173,6 +173,34 @@ class TestTrainQuantizeCompile:
         assert "byte " in capsys.readouterr().err
         assert not (tmp_path / "m.mnq").exists()
 
+    @pytest.mark.parametrize("drop,named", [
+        ("scale.start0.conv.w", "scale.start0.conv.w"),
+        ("int32.conv1.sep.b", "int32.conv1.sep.b"),
+        ("int8.head.w", "int8.head.w"),
+        ("head = quantize", "head"),  # a line of meta.plan
+    ])
+    def test_quantized_checkpoint_missing_a_piece_exits_2(self, workspace, tmp_path, capsys,
+                                                          drop, named):
+        from morpheusnet.checkpoint import (CheckpointError, load_quantized, read_container,
+                                            write_container)
+
+        root, _ = workspace
+        tensors = read_container(root / "qmodel.ckpt")
+        if drop in tensors:
+            del tensors[drop]
+        else:
+            plan = tensors["meta.plan"].tobytes().decode()
+            assert drop in plan
+            plan = plan.replace(drop + "\n", "")
+            tensors["meta.plan"] = np.frombuffer(plan.encode(), dtype=np.uint8).copy()
+        bad = tmp_path / "bad.ckpt"
+        write_container(bad, tensors)  # a valid checksum over the broken content
+        with pytest.raises(CheckpointError, match=named):
+            load_quantized(bad)
+        assert main(["compile", "--model", str(bad), "--out", str(tmp_path / "m.mnq")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "m.mnq").exists()
+
 
 class TestEvaluate:
     def test_json_schema(self, workspace, tmp_path):

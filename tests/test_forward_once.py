@@ -86,6 +86,15 @@ class TestInferenceKeepsNoBackwardState:
         grads = _peak_bytes(lambda: model.cnn_logits(x, "infer", True))
         assert infer <= self.RATIO * grads, (infer, grads)
 
+    def test_folded_forward_peaks_no_higher_than_the_model(self, model):
+        """Without a plan the folded forward drops each value after its last
+        reader, so it peaks no higher than the batchnorm model it folds."""
+        icnn = fold_cnn(model)
+        x = _epochs(32, seed=8)
+        folded = _peak_bytes(lambda: icnn_forward(icnn, x))
+        unfolded = _peak_bytes(lambda: model.cnn_logits(x, "infer"))
+        assert folded <= 1.05 * unfolded, (folded, unfolded)
+
     def test_icnn_forward(self, quantized):
         icnn, plan, act_qp = quantized
         x = _epochs(32, seed=7)

@@ -355,8 +355,9 @@ class TestAccumulatorDtype:
             assert traced[name].tobytes() == expect.tobytes(), name
 
 
-def _frozen_default_spec(epochs: int) -> FlatModelSpec:
-    """The default architecture, frozen to int8 without fine-tuning."""
+def _frozen_default(epochs: int, make_plan=default_plan):
+    """The default architecture, frozen without fine-tuning: the loaded spec
+    and the calibrated activation parameters."""
     from morpheusnet.model import MorpheusConfig, build_morpheus
 
     model = build_morpheus(MorpheusConfig(), seed=0)
@@ -365,8 +366,45 @@ def _frozen_default_spec(epochs: int) -> FlatModelSpec:
     model.cnn_logits(x, mode="train")  # give batchnorm usable statistics
     icnn = fold_cnn(model)
     calib = calibrate_ranges(icnn, x)
-    qcnn = freeze_quantized(icnn, default_plan(icnn), calib.act_qparams)
-    return load_flat_model(compile_flat_model(qcnn, model.seq))
+    qcnn = freeze_quantized(icnn, make_plan(icnn), calib.act_qparams)
+    return load_flat_model(compile_flat_model(qcnn, model.seq)), calib.act_qparams
+
+
+def _frozen_default_spec(epochs: int) -> FlatModelSpec:
+    """The default architecture, frozen to int8 without fine-tuning."""
+    return _frozen_default(epochs)[0]
+
+
+# per entry of the default model: main_src, aux_src, in_ch, out_ch, kernel,
+# stride, in_len, out_len (the same under every plan)
+_IN, _NO = MODEL_INPUT, NO_AUX
+DEFAULT_GEOMETRY = [
+    (_IN, _NO, 1, 16, 32, 1, 3000, 3000),  # start0.conv
+    (0, _NO, 16, 16, 4, 4, 3000, 750),     # start0.pool
+    (1, _NO, 16, 16, 8, 1, 750, 750),      # conv1.dw
+    (2, _NO, 16, 32, 1, 1, 750, 750),      # conv1.pw
+    (1, _NO, 16, 32, 1, 1, 750, 750),      # conv1.res
+    (3, 4, 32, 32, 0, 1, 750, 750),        # conv1.add
+    (5, _NO, 32, 32, 4, 4, 750, 187),      # pool2
+    (6, _NO, 32, 32, 8, 1, 187, 187),      # identity3.dw
+    (7, _NO, 32, 32, 1, 1, 187, 187),      # identity3.pw
+    (8, 6, 32, 32, 0, 1, 187, 187),        # identity3.add
+    (9, _NO, 32, 32, 8, 1, 187, 187),      # conv4.dw
+    (10, _NO, 32, 64, 1, 1, 187, 187),     # conv4.pw
+    (9, _NO, 32, 64, 1, 1, 187, 187),      # conv4.res
+    (11, 12, 64, 64, 0, 1, 187, 187),      # conv4.add
+    (13, _NO, 64, 64, 4, 4, 187, 46),      # pool5
+    (14, _NO, 64, 64, 8, 1, 46, 46),       # identity6.dw
+    (15, _NO, 64, 64, 1, 1, 46, 46),       # identity6.pw
+    (16, 14, 64, 64, 0, 1, 46, 46),        # identity6.add
+    (17, _NO, 64, 64, 46, 46, 46, 1),      # gap
+    (18, _NO, 64, 5, 0, 1, 1, 1),          # head
+]
+# flags per entry (F_RELU = 1, F_QUANTIZED = 2) under each plan
+DEFAULT_FLAGS = {
+    "default": [3, 2, 2, 3, 2, 2, 2, 2, 3, 2, 2, 3, 2, 2, 2, 2, 3, 2, 2, 2],
+    "exclusion": [1, 0, 2, 3, 2, 2, 2, 0, 1, 0, 2, 3, 2, 2, 2, 0, 1, 0, 0, 2],
+}
 
 
 class TestDefaultModelLowering:
@@ -403,21 +441,47 @@ class TestDefaultModelLowering:
             assert engine._ctx[i]["acc"].dtype == np.float32, spec.entries[i].name
 
     def test_entry_layout_of_default_model(self):
-        spec = _frozen_default_spec(4)
-        kinds = [e.kind for e in spec.entries]
         from morpheusnet.flatmodel import (K_ADD, K_AVGPOOL, K_CONV, K_DENSE,
                                            K_DEPTHWISE, K_GAP, K_MAXPOOL,
                                            K_POINTWISE)
-        assert kinds == [
-            K_CONV, K_MAXPOOL,                       # start block
-            K_DEPTHWISE, K_POINTWISE, K_POINTWISE, K_ADD,  # conv block
-            K_MAXPOOL,
-            K_DEPTHWISE, K_POINTWISE, K_ADD,         # identity block
-            K_DEPTHWISE, K_POINTWISE, K_POINTWISE, K_ADD,  # conv block
-            K_AVGPOOL,
-            K_DEPTHWISE, K_POINTWISE, K_ADD,         # identity block
-            K_GAP, K_DENSE,
-        ]
+        for plan_name, make_plan in (("default", default_plan), ("exclusion", exclusion_plan)):
+            spec, act_qp = _frozen_default(4, make_plan)
+            kinds = [e.kind for e in spec.entries]
+            assert kinds == [
+                K_CONV, K_MAXPOOL,                       # start block
+                K_DEPTHWISE, K_POINTWISE, K_POINTWISE, K_ADD,  # conv block
+                K_MAXPOOL,
+                K_DEPTHWISE, K_POINTWISE, K_ADD,         # identity block
+                K_DEPTHWISE, K_POINTWISE, K_POINTWISE, K_ADD,  # conv block
+                K_AVGPOOL,
+                K_DEPTHWISE, K_POINTWISE, K_ADD,         # identity block
+                K_GAP, K_DENSE,
+            ]
+            assert [(e.main_src, e.aux_src, e.in_ch, e.out_ch, e.kernel, e.stride,
+                     e.in_len, e.out_len) for e in spec.entries] == DEFAULT_GEOMETRY
+            assert [e.flags for e in spec.entries] == DEFAULT_FLAGS[plan_name]
+            self._check_requantization_invariants(spec, act_qp)
+
+    @staticmethod
+    def _check_requantization_invariants(spec, act_qp):
+        from morpheusnet.flatmodel import K_ADD, K_AVGPOOL, K_GAP, K_MAXPOOL
+
+        for e in spec.entries:
+            if e.kind == K_ADD:  # the main operand is already in the add's parameters
+                main = spec.entries[e.main_src]
+                assert (main.out_scale, main.out_zp) == (e.out_scale, e.out_zp), e.name
+            if e.kind in (K_MAXPOOL, K_AVGPOOL, K_GAP):
+                src = spec.entries[e.main_src]
+                assert (src.out_scale, src.out_zp) == (e.out_scale, e.out_zp)
+                assert src.quantized == e.quantized
+        # entries with an activation point: the start conv, each depthwise and each add
+        acts = {0: "start0.out", 2: "conv1.dw", 5: "conv1.out", 7: "identity3.dw",
+                9: "identity3.out", 10: "conv4.dw", 13: "conv4.out", 15: "identity6.dw",
+                17: "identity6.out"}
+        for i, point in acts.items():
+            qp, e = act_qp[point], spec.entries[i]
+            assert (e.out_scale, e.out_zp) == (np.float32(qp.scale), qp.zero_point), point
+        assert spec.entries[-1].out_scale == 0.0  # float logits
 
 
 class TestFloatPooling:
