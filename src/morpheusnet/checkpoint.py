@@ -194,8 +194,11 @@ def load_quantized(path) -> tuple[QuantizedCnn, MorpheusModel]:
     plan = QuantizationPlan.from_text(_tensor_text(tensors["meta.plan"]))
     act: dict[str, QuantParams] = {}
     for line in _tensor_text(tensors["meta.act_qparams"]).splitlines():
-        name, scale, zp = line.split("\t")
-        act[name] = QuantParams(float(scale), int(zp))
+        try:
+            name, scale, zp = line.split("\t")
+            act[name] = QuantParams(float(scale), int(zp))
+        except ValueError as exc:
+            raise CheckpointError(f"meta.act_qparams line {line!r}: {exc}") from exc
 
     model = build_morpheus(config, seed=0)
     icnn = fold_cnn(model)

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
+from math import ceil, isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .edf import EdfFile, Hypnogram
 from .model import STAGE_INDEX, STAGES
@@ -19,9 +22,11 @@ EPOCH_SAMPLES = 3000
 EPOCH_SECONDS = 30
 TARGET_HZ = 100
 EPO_MAGIC = b"EPO1"
+_EPO_RECORD = np.dtype([("stage", "u1"), ("x", "<f4", (EPOCH_SAMPLES,))])
 
 _KAISER_BETA = 8.6
 _TAPS = 64  # windowed-sinc support, 32 samples each side of the target position
+_CHUNK = 1 << 18  # weight-matrix and window entries per chunk, for any length and ratio
 
 
 @dataclass
@@ -49,17 +54,17 @@ def recording_from_edf(edf: EdfFile, channel_label: str, subject_id: str) -> Rec
     raise ValueError(f"channel {channel_label!r} not in {labels}")
 
 
-def _kaiser(u: np.ndarray) -> np.ndarray:
-    inside = np.clip(1.0 - u * u, 0.0, None)
-    return np.i0(_KAISER_BETA * np.sqrt(inside)) / np.i0(_KAISER_BETA)
-
-
 def resample_signal(x: np.ndarray, src_hz: float, dst_hz: float) -> np.ndarray:
     """Windowed-sinc rate conversion with a Kaiser window and 64-tap support.
 
     The low-pass cutoff sits at the smaller of the two Nyquist rates. Output
-    length is round(len(x) * dst / src). Equal rates return the input
-    unchanged.
+    length is round(len(x) * dst / src); each output's weights are renormalised
+    over its in-range taps. Equal rates return the input unchanged.
+
+    Polyphase (Crochiere & Rabiner 1983): with src / dst = p / q in lowest
+    terms, output k's weights depend only on k mod q. Each chunk applies a
+    matrix of weight rows with one GEMM: the q phase rows over stride-p input
+    windows when they fit, else a row per output (at its float position).
     """
     if src_hz <= 0 or dst_hz <= 0:
         raise ValueError("sample rates must be positive")
@@ -68,26 +73,33 @@ def resample_signal(x: np.ndarray, src_hz: float, dst_hz: float) -> np.ndarray:
         return x
     n_in = x.size
     n_out = int(np.floor(n_in * dst_hz / src_hz + 0.5))
-    ratio = src_hz / dst_hz
+    ratio = Fraction(float(src_hz)) / Fraction(float(dst_hz))
+    p, q = ratio.numerator, ratio.denominator
     fc = min(1.0, dst_hz / src_hz)  # cutoff as a fraction of the source Nyquist
     half = _TAPS // 2
-    offsets = np.arange(-half + 1, half + 1)
-
+    phased = q * (p + _TAPS) <= _CHUNK
+    step = q * max(1, _CHUNK // (p + _TAPS)) if phased else max(1, isqrt(_CHUNK // ceil(ratio)))
     out = np.empty(n_out, dtype=np.float64)
-    for start in range(0, n_out, 65536):
-        stop = min(start + 65536, n_out)
-        pos = np.arange(start, stop, dtype=np.float64) * ratio
-        base = np.floor(pos).astype(np.int64)
-        taps = base[:, None] + offsets[None, :]
-        dist = pos[:, None] - taps
-        weights = fc * np.sinc(fc * dist) * _kaiser(dist / half)
-        valid = (taps >= 0) & (taps < n_in)
-        weights *= valid
-        norm = weights.sum(axis=1, keepdims=True)
+    for start in range(0, n_out, step):
+        stop = min(start + step, n_out)
+        if phased:  # output k sits at (k // q)·p + (k % q)·p / q
+            pos = np.arange(q) * p
+            origin, base, frac = start // q * p, pos // q, pos % q / q
+        else:
+            pos = np.arange(start, stop) * float(ratio)
+            base = np.floor(pos).astype(np.int64)
+            origin, frac, base = int(base[0]), pos - base, base - base[0]
+        dist = frac[:, None] - np.arange(-half + 1, half + 1)
+        kaiser = np.i0(_KAISER_BETA * np.sqrt(np.clip(1.0 - (dist / half) ** 2, 0.0, None)))
+        rows = np.zeros((base.size, base[-1] + _TAPS))
+        rows[np.arange(base.size)[:, None], base[:, None] + np.arange(_TAPS)] = (
+            fc * np.sinc(fc * dist) * kaiser / np.i0(_KAISER_BETA))
+        taps = origin - half + 1 + np.arange((stop - start - 1) // base.size * p + rows.shape[1])
+        inside = (taps >= 0) & (taps < n_in)
+        sums, norm = (sliding_window_view(v, rows.shape[1])[::p] @ rows.T for v in
+                      (np.where(inside, x[np.clip(taps, 0, n_in - 1)], 0.0), inside * 1.0))
         norm[norm == 0] = 1.0
-        weights /= norm
-        gathered = x[np.clip(taps, 0, n_in - 1)]
-        out[start:stop] = (weights * gathered).sum(axis=1)
+        out[start:stop] = (sums / norm).ravel()[:stop - start]
     return out
 
 
@@ -154,45 +166,45 @@ def preprocess(recording: Recording, hypnogram: Hypnogram, trim: str = "pm30"):
 
 
 def write_epochs(path, epochs: np.ndarray, stages: np.ndarray) -> None:
-    """Write an EPO1 container; ``epochs`` is ``[N, 1, 3000]`` float32."""
+    """Write an EPO1 container; ``epochs`` is ``[N, 1, 3000]`` float32, finite."""
     epochs = np.asarray(epochs, dtype=np.float32)
-    stages = np.asarray(stages)
     if epochs.ndim != 3 or epochs.shape[1] != 1 or epochs.shape[2] != EPOCH_SAMPLES:
         raise ValueError(f"epochs must be [N, 1, {EPOCH_SAMPLES}], got {epochs.shape}")
     if len(stages) != len(epochs):
         raise ValueError("one stage per epoch required")
+    stages = np.array([STAGE_INDEX[s] if isinstance(s, str) else s for s in stages], np.int64)
+    _check_epochs(stages, epochs[:, 0])
+    records = np.empty(len(epochs), dtype=_EPO_RECORD)
+    records["stage"], records["x"] = stages, epochs[:, 0]
     with open(path, "wb") as fh:
-        fh.write(EPO_MAGIC)
-        fh.write(struct.pack("<I", len(epochs)))
-        for epoch, stage in zip(epochs, stages):
-            idx = STAGE_INDEX[stage] if isinstance(stage, str) else int(stage)
-            if not 0 <= idx < len(STAGES):
-                raise ValueError(f"stage index {idx} out of range")
-            fh.write(struct.pack("<B", idx))
-            fh.write(epoch.astype("<f4").tobytes())
+        fh.write(EPO_MAGIC + struct.pack("<I", len(epochs)) + records.tobytes())
+
+
+def _check_epochs(stages: np.ndarray, x: np.ndarray) -> None:
+    """Name the first epoch with a stage index out of range or a non-finite sample."""
+    for bad, what in (((stages < 0) | (stages >= len(STAGES)), "stage index {} out of range"),
+                      (~np.isfinite(x).all(axis=-1), "non-finite sample")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"epoch {i}: " + what.format(stages[i]))
 
 
 def read_epochs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an EPO1 container back as ``(epochs [N,1,3000] f32, stages [N] i64)``."""
+    """Read an EPO1 container back as ``(epochs [N,1,3000] f32, stages [N] i64)``;
+    a malformed file raises ``ValueError`` naming the byte or the first bad epoch."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != EPO_MAGIC:
         raise ValueError(f"not an EPO1 file: bad magic {data[:4]!r}")
+    if len(data) < 8:
+        raise ValueError(f"EPO1 file ends at byte {len(data)}: the epoch count at byte 4 needs 4")
     (count,) = struct.unpack_from("<I", data, 4)
-    record = 1 + 4 * EPOCH_SAMPLES
-    expected = 8 + count * record
+    expected = 8 + count * _EPO_RECORD.itemsize
     if len(data) != expected:
         raise ValueError(f"EPO1 file has {len(data)} bytes, expected {expected}")
-    epochs = np.empty((count, 1, EPOCH_SAMPLES), dtype=np.float32)
-    stages = np.empty(count, dtype=np.int64)
-    pos = 8
-    for i in range(count):
-        stages[i] = data[pos]
-        if stages[i] >= len(STAGES):
-            raise ValueError(f"epoch {i}: stage index {stages[i]} out of range")
-        epochs[i, 0] = np.frombuffer(data, dtype="<f4", count=EPOCH_SAMPLES, offset=pos + 1)
-        pos += record
-    return epochs, stages
+    records = np.frombuffer(data, dtype=_EPO_RECORD, offset=8)
+    _check_epochs(records["stage"], records["x"])
+    return records["x"].astype(np.float32)[:, None, :], records["stage"].astype(np.int64)
 
 
 @dataclass

@@ -50,8 +50,8 @@ class QuantParams:
     bits: int = 8
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < float("inf"):
+            raise ValueError("scale must be positive and finite")
         if not QMIN <= self.zero_point <= QMAX:
             raise ValueError("zero point must fit in int8")
 

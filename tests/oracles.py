@@ -6,6 +6,9 @@ per operation, no shared code with the package's vectorized kernels.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from morpheusnet.tensor import finite_difference_gradient
@@ -69,3 +72,29 @@ def check_gradient(f, x, analytic, eps=1e-4, tol=1e-4):
     err = np.max(np.abs(analytic - numeric) / denom)
     assert err <= tol, f"gradient mismatch: max relative error {err:.3e} > {tol}"
     return err
+
+
+def naive_resample(x, src_hz, dst_hz, taps=64, beta=8.6, exact=False):
+    """Per-output windowed-sinc resampling at positions ``k * src / dst``.
+
+    The direct formula: every output evaluates its own ``taps`` Kaiser-windowed
+    sinc weights around ``floor(pos)``, drops the taps outside the recording
+    and renormalises the rest to unit sum. The position is the float product
+    ``k * (src / dst)``, or with ``exact`` the exact rational number.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_out = int(np.floor(x.size * dst_hz / src_hz + 0.5))
+    ratio = Fraction(float(src_hz)) / Fraction(float(dst_hz)) if exact else src_hz / dst_hz
+    fc = min(1.0, dst_hz / src_hz)
+    half = taps // 2
+    out = np.zeros(n_out)
+    for k in range(n_out):
+        pos = k * ratio
+        base = math.floor(pos)
+        tap = np.arange(max(0, base - half + 1), min(x.size, base + half + 1))
+        dist = np.asarray(pos - tap, dtype=np.float64)
+        window = np.i0(beta * np.sqrt(np.maximum(0.0, 1.0 - (dist / half) ** 2))) / np.i0(beta)
+        weight = fc * np.sinc(fc * dist) * window
+        norm = weight.sum()
+        out[k] = weight @ x[tap] / (norm if norm != 0 else 1.0)
+    return out

@@ -1,6 +1,7 @@
 """Command-line surface: a miniature pipeline plus error contracts."""
 
 import json
+import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -200,6 +201,60 @@ class TestTrainQuantizeCompile:
         assert main(["compile", "--model", str(bad), "--out", str(tmp_path / "m.mnq")]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "m.mnq").exists()
+
+
+    @pytest.mark.parametrize("bad_line", [
+        "input 0.1 0",  # spaces, not tabs: one field
+        "input\t0.1",  # two fields
+        "input\t0.1\t0\t1",  # four fields
+        "input\tabc\t0",  # unparsable scale
+        "input\t0.1\tzero",  # unparsable zero point
+        "input\t-1.0\t0",  # negative scale
+        "input\t0.0\t0",  # zero scale
+        "input\tnan\t0",  # non-finite scale
+        "input\tinf\t0",
+    ])
+    def test_malformed_act_qparams_line_exits_2_naming_it(self, workspace, tmp_path, capsys,
+                                                          bad_line):
+        from morpheusnet.checkpoint import (CheckpointError, load_quantized, read_container,
+                                            write_container)
+
+        root, _ = workspace
+        tensors = read_container(root / "qmodel.ckpt")
+        lines = tensors["meta.act_qparams"].tobytes().decode().splitlines()
+        index = [i for i, line in enumerate(lines) if line.startswith("input\t")][0]
+        lines[index] = bad_line
+        text = "\n".join(lines).encode()
+        tensors["meta.act_qparams"] = np.frombuffer(text, dtype=np.uint8).copy()
+        bad = tmp_path / "bad.ckpt"
+        write_container(bad, tensors)  # a valid checksum over the broken content
+        with pytest.raises(CheckpointError, match="meta.act_qparams") as info:
+            load_quantized(bad)
+        assert repr(bad_line) in str(info.value)
+        assert main(["compile", "--model", str(bad), "--out", str(tmp_path / "m.mnq")]) == 2
+        err = capsys.readouterr().err
+        assert "meta.act_qparams" in err and repr(bad_line) in err
+        assert not (tmp_path / "m.mnq").exists()
+
+
+class TestMalformedEpochFiles:
+    @pytest.mark.parametrize("name,content,named", [
+        ("short", b"EPO1\x03\x00", "byte 4"),
+        ("nan", b"EPO1" + struct.pack("<I", 2) + (b"\x00" + b"\x00" * 12000)
+         + (b"\x01" + struct.pack("<f", np.nan) + b"\x00" * 11996), "epoch 1: non-finite"),
+        ("stage", b"EPO1" + struct.pack("<I", 1) + b"\x05" + b"\x00" * 12000,
+         "epoch 0: stage index 5"),
+    ])
+    def test_train_exits_2_naming_the_fault(self, workspace, tmp_path, capsys, name, content,
+                                            named):
+        root, data = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        (copy / "S01.epo").write_bytes(content)
+        assert main(["train", "--data", str(copy), "--arch", str(root / "arch.cfg"),
+                     "--out", str(tmp_path / "m.ckpt"), "--seed", "3", "--folds", "3"]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestEvaluate:

@@ -1,7 +1,11 @@
 """Resampling, epoching, container io, and fold plans."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import naive_resample
 
 from morpheusnet.edf import Hypnogram
 from morpheusnet.pipeline import (
@@ -55,6 +59,42 @@ class TestResample:
             resample_signal(np.zeros(10), 0.0, 100.0)
         with pytest.raises(ValueError):
             Recording("s", "ch", -5.0, np.zeros(10))
+
+
+class TestPolyphaseResample:
+    @pytest.mark.parametrize("src_hz", [256.0, 250.0, 128.0, 125.0, 512.0, 200.0, 50.0,
+                                        256 / 0.999, 256.03])
+    @pytest.mark.parametrize("n_in", [40, 1000, 3001])
+    def test_matches_direct_formula(self, src_hz, n_in):
+        # edges included: every output is compared, and 40 samples is shorter
+        # than the 64-tap support, so no output there has all its taps in range
+        x = np.random.default_rng(n_in).normal(0.0, 30.0, n_in)
+        got = resample_signal(x, src_hz, 100.0)
+        want = naive_resample(x, src_hz, 100.0)
+        assert got.shape == want.shape
+        np.testing.assert_array_less(np.abs(got - want), 1e-9 * np.max(np.abs(x)))
+
+    def test_exact_positions_where_the_float_ratio_rounds_low(self):
+        # 1.13 is stored just below 113/100, so floor(k * 1.13) falls one short
+        # of the integer position at some k (k = 100 is the first); the 64-tap
+        # window then starts one tap early. The resampler keeps exact positions.
+        x = np.random.default_rng(4).normal(0.0, 30.0, 3000)
+        got = resample_signal(x, 113.0, 100.0)
+        bound = 1e-9 * np.max(np.abs(x))
+        np.testing.assert_array_less(np.abs(got - naive_resample(x, 113.0, 100.0, exact=True)),
+                                     bound)
+        assert np.max(np.abs(got - naive_resample(x, 113.0, 100.0))) > 1e3 * bound
+
+    def test_one_hour_stays_within_64_mib(self):
+        x = np.random.default_rng(3).normal(size=256 * 3600)
+        tracemalloc.start()
+        try:
+            out = resample_signal(x, 256.0, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == 100 * 3600
+        assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _recording(n_epochs, rng=None):
@@ -138,6 +178,62 @@ class TestEpochContainer:
         path.write_bytes(data[:-7])
         with pytest.raises(ValueError):
             read_epochs(path)
+
+
+def _epo_bytes(epochs, stages):
+    """An EPO1 file built field by field with ``struct``, as the format describes it."""
+    body = b"EPO1" + struct.pack("<I", len(stages))
+    for epoch, stage in zip(epochs, stages):
+        body += struct.pack("<B", stage) + struct.pack(f"<{EPOCH_SAMPLES}f", *epoch.ravel())
+    return body
+
+
+class TestEpochContainerFormat:
+    def test_bytes_match_struct_layout(self, tmp_path):
+        rng = np.random.default_rng(2)
+        epochs = rng.normal(size=(3, 1, EPOCH_SAMPLES)).astype(np.float32)
+        path = tmp_path / "a.epo"
+        write_epochs(path, epochs, ["W", 4, np.int64(2)])
+        assert path.read_bytes() == _epo_bytes(epochs, [0, 4, 2])
+
+    def test_empty_container(self, tmp_path):
+        path = tmp_path / "empty.epo"
+        write_epochs(path, np.zeros((0, 1, EPOCH_SAMPLES), np.float32), [])
+        assert path.read_bytes() == b"EPO1" + struct.pack("<I", 0)
+        epochs, stages = read_epochs(path)
+        assert epochs.shape == (0, 1, EPOCH_SAMPLES) and stages.shape == (0,)
+
+    @pytest.mark.parametrize("stage", [5, -1, 256])
+    def test_write_names_first_bad_stage(self, tmp_path, stage):
+        path = tmp_path / "s.epo"
+        with pytest.raises(ValueError, match=f"epoch 1: stage index {stage} out of range"):
+            write_epochs(path, np.zeros((3, 1, EPOCH_SAMPLES), np.float32), [0, stage, 7])
+        assert not path.exists()
+
+    def test_read_names_first_bad_stage(self, tmp_path):
+        path = tmp_path / "s.epo"
+        path.write_bytes(_epo_bytes(np.zeros((3, EPOCH_SAMPLES)), [1, 2, 9]))
+        with pytest.raises(ValueError, match="epoch 2: stage index 9 out of range"):
+            read_epochs(path)
+
+    @pytest.mark.parametrize("size", [4, 5, 6, 7])
+    def test_short_header_names_byte_4(self, tmp_path, size):
+        path = tmp_path / "short.epo"
+        path.write_bytes((b"EPO1" + struct.pack("<I", 1))[:size])
+        with pytest.raises(ValueError, match="byte 4"):
+            read_epochs(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_names_epoch(self, tmp_path, value):
+        epochs = np.zeros((4, EPOCH_SAMPLES))
+        epochs[2, 1234] = value
+        epochs[3, 0] = value
+        path = tmp_path / "nan.epo"
+        path.write_bytes(_epo_bytes(epochs, [0, 1, 2, 3]))
+        with pytest.raises(ValueError, match="epoch 2: non-finite sample"):
+            read_epochs(path)
+        with pytest.raises(ValueError, match="epoch 2: non-finite sample"):
+            write_epochs(tmp_path / "w.epo", epochs[:, None].astype(np.float32), [0, 1, 2, 3])
 
 
 class TestRecordingFromEdf:
